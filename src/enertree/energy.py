@@ -141,6 +141,9 @@ class DepthTarget:
 
 EnergyProtocol = Union[IdealTarget, LambdaExchange, RandExchange, KappaTransfer, DepthTarget]
 
+# Protocols that act only when a parent and its child interact.
+EDGE_ONLY = (LambdaExchange, RandExchange, KappaTransfer)
+
 
 def parse_energy_protocol(spec: str) -> EnergyProtocol:
     spec = spec.strip().lower()

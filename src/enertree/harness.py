@@ -90,6 +90,10 @@ class ExperimentConfig:
             raise ConfigError("concurrent mode requires target_energy_basis=initial")
         if self.total_energy is not None and self.total_energy <= 0:
             raise ConfigError("total_energy must be positive")
+        for name in ("step_budget", "quiescence_window", "metric_cadence"):
+            value = getattr(self, name)
+            if value is not None and (type(value) is not int or value < 1):
+                raise ConfigError(f"{name} must be an integer >= 1 (got {value!r})")
         try:
             self.formation()
             if self.energy_protocol is not None:

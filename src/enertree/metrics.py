@@ -20,13 +20,11 @@ from typing import Iterable, Optional, Sequence
 
 from .core import EnergyState, TreeNetwork
 from .energy import (
+    EDGE_ONLY,
     DepthTarget,
     EnergyProtocol,
     IdealEnergyTable,
     IdealTarget,
-    KappaTransfer,
-    LambdaExchange,
-    RandExchange,
 )
 from .errors import DomainError
 
@@ -156,7 +154,7 @@ def convergence_kind(protocol: EnergyProtocol) -> str:
     """Exchange/transfer protocols converge when the distribution distance
     first hits zero; targeted protocols when no interaction moves energy for
     a full quiescence window."""
-    if isinstance(protocol, (LambdaExchange, RandExchange, KappaTransfer)):
+    if isinstance(protocol, EDGE_ONLY):
         return DD_ZERO
     if isinstance(protocol, (IdealTarget, DepthTarget)):
         return QUIESCENCE

@@ -11,6 +11,15 @@ The same loop serves live execution and trace replay: the pair sequence
 comes from a scheduler (random or scripted from a trace) and energy moves
 come from a driver (computed live, or applied verbatim from the recorded
 amounts and loss fractions).
+
+Once the tree is complete and the estimates have stabilized, an edge-only
+protocol changes nothing on a pair that is not a tree edge: the formation
+and estimation rules are idle there and the protocol does not fire. A live
+run that records no trace then lets the random scheduler skip those pairs
+(``RandomScheduler.skip``) and runs the step only at the next event: a tree
+edge, a metric-cadence step, or the last step of the budget. The skipped
+steps leave the same state and the same generator position behind, so
+every output is unchanged.
 """
 
 from __future__ import annotations
@@ -22,11 +31,11 @@ from typing import Optional, Sequence
 
 from .core import Population
 from .energy import (
+    EDGE_ONLY,
     DepthTarget,
     EnergyProtocol,
     IdealEnergyTable,
     IdealTarget,
-    KappaTransfer,
     LambdaExchange,
     LossModel,
     RandExchange,
@@ -42,6 +51,7 @@ from .errors import DomainError, InvariantError
 from .estimation import apply_estimation_rules, estimation_stabilized
 from .formation import (
     CONNECTING_RULES,
+    KARY,
     NOOP,
     FormationProtocol,
     apply_formation_rule,
@@ -58,7 +68,12 @@ from .metrics import (
     distribution_distance,
     incident_distance,
 )
-from .scheduler import InteractionTrace, TraceRecord
+from .scheduler import (
+    InteractionTrace,
+    RandomScheduler,
+    TraceRecord,
+    skip_matches_sampler,
+)
 
 TWOPHASE = "twophase"
 CONCURRENT = "concurrent"
@@ -100,7 +115,7 @@ class LiveEnergyDriver:
             return b
 
         protocol = self.protocol
-        if isinstance(protocol, (LambdaExchange, RandExchange, KappaTransfer)):
+        if isinstance(protocol, EDGE_ONLY):
             net = pop.network
             if net.parent[v] == u:
                 p, c = u, v
@@ -167,6 +182,7 @@ class SimOutcome:
     ideal: Optional[IdealEnergyTable] = None
     basis_total: Optional[float] = None
     trace: Optional[InteractionTrace] = None
+    skipped_steps: int = 0  # idle redistribution steps the scheduler skipped
 
     @property
     def digest(self) -> str:
@@ -181,6 +197,24 @@ def _validate_step(pop: Population) -> None:
     for value in e.per_node:
         if value < 0.0:
             raise InvariantError("negative node energy")
+
+
+def _edge_mask(
+    pop: Population, formation: Optional[FormationProtocol], scheduler: RandomScheduler
+) -> Optional[list[bytes]]:
+    """The tree edges, in both orientations, as a ``RandomScheduler.skip``
+    mask; None where a pair off the tree could still change the state or
+    skipping does not reproduce the sampler on this interpreter."""
+    net = pop.network
+    if formation is not None and formation.kind == KARY:
+        # A node keyed below its root would try a root capture on meeting
+        # it, which the step raises on (the tree is complete).
+        if min(pop.w) < pop.w[net.roots()[0]]:
+            return None
+    if not skip_matches_sampler():
+        return None
+    edges = [(p, c) for c, p in enumerate(net.parent) if p != -1]
+    return scheduler.pair_mask(edges + [(c, p) for p, c in edges])
 
 
 def simulate(
@@ -221,6 +255,13 @@ def simulate(
         window = 10 * max(pairs, 1)
     if metric_cadence is None:
         metric_cadence = 1 if n <= 10 else n
+    for name, value in (
+        ("formation budget", formation_budget),
+        ("energy budget", energy_budget),
+        ("metric cadence", metric_cadence),
+    ):
+        if value < 1:
+            raise DomainError(f"{name} must be >= 1 (got {value})")
 
     trace = (
         InteractionTrace(seed=trace_seed, config=trace_config or {})
@@ -319,11 +360,28 @@ def simulate(
         detector.observe(0, dd, 0.0, e.lost)
     proto_tag = energy_protocol.tag
     s = 0
+    # Idle steps can be skipped once the tree is stable (see the module
+    # docstring); mask is the scheduler's edge filter from then on.
+    can_skip = (
+        isinstance(scheduler, RandomScheduler)
+        and isinstance(driver, LiveEnergyDriver)
+        and isinstance(driver.protocol, EDGE_ONLY)
+        and trace is None
+        and not validate
+    )
+    mask = _edge_mask(pop, formation, scheduler) if can_skip and stabilized else None
+    skipped = 0
 
     if n > 1:
         while not detector.decided and s < energy_budget:
-            u, v = scheduler.next_pair()
-            s += 1
+            if mask is not None and dd > dd_tol:
+                stop = min(s - s % metric_cadence + metric_cadence, energy_budget)
+                k, u, v = scheduler.skip(stop - s, mask)
+                skipped += k - 1
+                s += k
+            else:
+                u, v = scheduler.next_pair()
+                s += 1
             tag = apply_formation_rule(formation, pop, u, v) if formation else NOOP
             apply_estimation_rules(pop, u, v)
             if tag in CONNECTING_RULES:
@@ -342,6 +400,8 @@ def simulate(
                     stabilized = True
                     stabilized_step = t + s
                     estimation_steps = stabilized_step - formation_steps
+                    if can_skip:
+                        mask = _edge_mask(pop, formation, scheduler)
             pre = incident_distance(net, e, u, v)
             moved, beta_used = driver.move(pop, u, v, t + s - 1)
             if moved:
@@ -374,6 +434,7 @@ def simulate(
     outcome.formation_steps = formation_steps
     outcome.estimation_steps = estimation_steps
     outcome.total_steps = t + s
+    outcome.skipped_steps = skipped
     outcome.report = detector.report()
     outcome.samples = samples
     outcome.ideal = ideal

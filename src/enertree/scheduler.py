@@ -9,6 +9,7 @@ SHA-256, so runs are independent and reproducible in isolation.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import random
@@ -46,7 +47,14 @@ def sample_pair(rng: random.Random, n: int) -> tuple[int, int]:
 
 
 class RandomScheduler:
-    """Uniform pairwise scheduler; one call per discrete time step."""
+    """Uniform pairwise scheduler; one call per discrete time step.
+
+    ``skip`` draws pairs in a tight loop until one matters to the caller.
+    It makes the generator calls ``sample_pair`` makes, in the same order:
+    ``randrange(k)`` is ``getrandbits(k.bit_length())`` with rejection. So
+    the pairs, and the generator state after each of them, are the same as
+    pair-by-pair sampling gives.
+    """
 
     __slots__ = ("rng", "n")
 
@@ -58,6 +66,54 @@ class RandomScheduler:
 
     def next_pair(self) -> tuple[int, int]:
         return sample_pair(self.rng, self.n)
+
+    def pair_mask(self, pairs: Iterable[tuple[int, int]]) -> list[bytes]:
+        """The oriented pairs ``skip`` should stop at, in its own layout:
+        row u, column v as ``randrange(n - 1)`` drew it."""
+        rows = [bytearray(self.n - 1) for _ in range(self.n)]
+        for u, v in pairs:
+            rows[u][v - (v > u)] = 1
+        return [bytes(row) for row in rows]
+
+    def skip(self, limit: int, mask: Sequence[bytes]) -> tuple[int, int, int]:
+        """Draw pairs until one is in ``mask`` (from ``pair_mask``) or until
+        the ``limit``-th; returns how many were drawn and the last pair."""
+        n = self.n
+        m = n - 1
+        ku = n.bit_length()
+        kv = m.bit_length()
+        bits = self.rng.getrandbits
+        for k in range(1, limit + 1):
+            u = bits(ku)
+            while u >= n:
+                u = bits(ku)
+            v = bits(kv)
+            while v >= m:
+                v = bits(kv)
+            if mask[u][v]:
+                break
+        return k, u, v + (v >= u)
+
+
+@functools.cache
+def skip_matches_sampler() -> bool:
+    """Whether ``RandomScheduler.skip`` reproduces ``sample_pair`` on this
+    interpreter, checked once per process on throwaway generators: pair by
+    pair, over long skips, and in the generator state they leave."""
+    return all(_skip_agrees(n) for n in (2, 3, 16, 30, 257))
+
+
+def _skip_agrees(n: int) -> bool:
+    fast, slow = random.Random(n), random.Random(n)
+    scheduler = RandomScheduler(fast, n)
+    none = scheduler.pair_mask([])
+    for limit in [1] * 100 + [64, 300]:
+        _, u, v = scheduler.skip(limit, none)
+        for _ in range(limit):
+            pair = sample_pair(slow, n)
+        if (u, v) != pair:
+            return False
+    return fast.getstate() == slow.getstate()
 
 
 class ScriptedScheduler:

@@ -49,6 +49,22 @@ def test_config_rejects_bad_values():
         ExperimentConfig.from_dict({"n": 5, "bogus": 1})
 
 
+@pytest.mark.parametrize("field", ["step_budget", "quiescence_window", "metric_cadence"])
+@pytest.mark.parametrize("value", [0, -5, 2.5, True])
+def test_config_rejects_bad_loop_settings(field, value):
+    with pytest.raises(ConfigError, match=field):
+        ExperimentConfig(**{field: value})
+
+
+@pytest.mark.parametrize("setting", [{"metric_cadence": 0}, {"step_budget": -5}])
+def test_cli_experiment_rejects_bad_loop_settings(tmp_path, capsys, setting):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 5, "repetitions": 1, **setting}))
+    assert cli_main(["experiment", "--config", str(cfg), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_config_json_roundtrip(tmp_path):
     config = ExperimentConfig(n=5, protocol="kary:3", energy_protocol="kappa:0.4")
     path = tmp_path / "cfg.json"
@@ -336,6 +352,16 @@ def test_energy_budget_exhaustion_on_formed_tree():
     assert not outcome.report.converged
     assert outcome.report.tau == 3
     assert outcome.ideal is not None
+
+
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_cli_redistribute_rejects_bad_budget(tmp_path, capsys, budget):
+    snap = tmp_path / "snap.txt"
+    assert cli_main(["form", "--n", "6", "--protocol", "kary:2", "--out", str(snap), "--quiet"]) == 0
+    rc = cli_main(["redistribute", "--snapshot", str(snap), "--energy-protocol", "lambda:2",
+                   "--budget", budget, "--quiet"])
+    assert rc == 1
+    assert "energy budget must be >= 1" in capsys.readouterr().err
 
 
 def test_single_node_run():

@@ -5,8 +5,10 @@ import pytest
 from enertree.errors import DomainError
 from enertree.scheduler import (
     InteractionTrace,
+    RandomScheduler,
     ScriptedScheduler,
     TraceRecord,
+    skip_matches_sampler,
     derive_run_seed,
     make_rng,
     read_trace,
@@ -87,6 +89,49 @@ def test_same_seed_same_sequence():
     seq1 = [sample_pair(r1, 20) for _ in range(500)]
     seq2 = [sample_pair(r2, 20) for _ in range(500)]
     assert seq1 == seq2
+
+
+@pytest.mark.parametrize("n", [2, 3, 16, 17, 30, 100, 257, 1000])
+def test_skip_reproduces_sample_pair(n):
+    # 200k pairs through skip, against pair-by-pair sampling: every pair it
+    # passes over is outside the mask, and it stops on the first pair inside
+    # it or on the limit-th.
+    fast, slow = make_rng(n), make_rng(n)
+    scheduler = RandomScheduler(fast, n)
+    stops = {(u, v) for u, v in [(0, 1), (1, 0), (n - 1, n // 2), (n // 3, 0)] if u != v}
+    mask = scheduler.pair_mask(stops)
+    limits = [1, 2, 5, 40, 300]
+    drawn = 0
+    while drawn < 200_000:
+        limit = limits[drawn % len(limits)]
+        k, u, v = scheduler.skip(limit, mask)
+        passed = [sample_pair(slow, n) for _ in range(k - 1)]
+        assert not stops.intersection(passed)
+        assert (u, v) == sample_pair(slow, n)
+        assert (u, v) in stops or k == limit
+        drawn += k
+    assert fast.getstate() == slow.getstate()
+
+
+def test_skip_leaves_the_generator_state_of_step_sampling():
+    # gauss() caches its second value; skipping draws whole pairs only, so
+    # the cached value and every later draw stay in step.
+    n = 30
+    fast, slow = make_rng(8), make_rng(8)
+    scheduler = RandomScheduler(fast, n)
+    none = scheduler.pair_mask([])
+    for limit in (3, 50, 1):
+        fast.gauss(0.2, 0.05)
+        slow.gauss(0.2, 0.05)
+        scheduler.skip(limit, none)
+        for _ in range(limit):
+            sample_pair(slow, n)
+        assert fast.getstate() == slow.getstate()
+        assert fast.gauss(0.2, 0.05) == slow.gauss(0.2, 0.05)
+
+
+def test_skip_self_check_passes():
+    assert skip_matches_sampler()
 
 
 def test_derive_run_seed_spreads():
