@@ -4,11 +4,9 @@ peer-to-peer energy redistribution among computationally weak agents."""
 from .core import (
     DistributionKind,
     EnergyState,
-    NodeConfig,
     NodeKind,
     NodeState,
     Population,
-    Registers,
     TreeNetwork,
     check_distribution,
     classify,
@@ -67,7 +65,6 @@ from .scheduler import (
     make_rng,
     read_trace,
     sample_pair,
-    scripted_scheduler,
     write_trace,
 )
 

@@ -39,6 +39,18 @@ def rel_close(a: float, b: float, tol: float = REL_TOL) -> bool:
     return math.isclose(a, b, rel_tol=tol, abs_tol=0.0)
 
 
+def spec_numbers(spec: str, what: str, count: int, cast=float) -> list:
+    """The ``count`` comma-separated parameters after the colon of a
+    ``name:p1,p2`` spec; DomainError unless each is a finite ``cast``."""
+    try:
+        values = [cast(x) for x in spec.split(":", 1)[1].split(",")]
+    except ValueError:
+        values = []
+    if len(values) != count or not all(math.isfinite(x) for x in values):
+        raise DomainError(f"cannot parse {what} {spec!r}")
+    return values
+
+
 class NodeKind(Enum):
     ISOLATED = "S"
     LEAF = "L"
@@ -70,26 +82,6 @@ class NodeState:
         return NodeState(kind, int(rest))
 
 
-@dataclass
-class Registers:
-    """Per-node registers: merge key ``w``, depth estimate ``d`` and tree
-    height estimate ``h`` (both in hops, 0 at init), and the optional target
-    energy used by the targeted redistribution protocols."""
-
-    w: int
-    d: int = 0
-    h: int = 0
-    target: Optional[float] = None
-
-
-@dataclass
-class NodeConfig:
-    id: int
-    state: NodeState
-    energy: float
-    registers: Registers
-
-
 class TreeNetwork:
     """Parent/children adjacency over node ids with structural guards.
 
@@ -116,11 +108,6 @@ class TreeNetwork:
     def _check_id(self, v: int) -> None:
         if not 0 <= v < self.n:
             raise DomainError(f"unknown node id {v}")
-
-    def parent_of(self, v: int) -> Optional[int]:
-        self._check_id(v)
-        p = self.parent[v]
-        return None if p < 0 else p
 
     def is_edge(self, u: int, v: int) -> bool:
         """True if u is the parent of v."""
@@ -268,8 +255,8 @@ class EnergyState:
 
     def __init__(self, per_node: Sequence[float]):
         for e in per_node:
-            if e < 0:
-                raise DomainError("negative initial energy")
+            if not 0 <= e < math.inf:
+                raise DomainError(f"initial energy must be finite and non-negative (got {e!r})")
         self.per_node: list[float] = list(per_node)
         self.lost: float = 0.0
         self.initial_total: float = math.fsum(self.per_node)
@@ -298,7 +285,7 @@ class EnergyState:
 class Population:
     """One simulation's full state: adjacency, registers, and energy."""
 
-    __slots__ = ("network", "w", "d", "h", "energy", "targets")
+    __slots__ = ("network", "w", "d", "h", "energy")
 
     def __init__(
         self,
@@ -323,23 +310,10 @@ class Population:
         # reloaded mid-run states may hold duplicates
         if fresh and len(set(self.w)) != n:
             raise DomainError("merge keys must be unique at initialization")
-        # Optional per-node target energies, set while a targeted protocol
-        # is active.
-        self.targets: Optional[Sequence[float]] = None
 
     @property
     def n(self) -> int:
         return self.network.n
-
-    def config(self, node_id: int) -> NodeConfig:
-        state = classify(self.network, node_id)
-        target = None if self.targets is None else self.targets[node_id]
-        return NodeConfig(
-            id=node_id,
-            state=state,
-            energy=self.energy.per_node[node_id],
-            registers=Registers(self.w[node_id], self.d[node_id], self.h[node_id], target),
-        )
 
 
 def resolve_beta(beta: "float | Callable[[], float]") -> float:

@@ -17,6 +17,13 @@ Five protocols with different knowledge requirements:
   unbounded buffer, paying deficits and absorbing surpluses (transfers
   involving the root are capped by the root's current energy).
 
+Each protocol object carries its own behaviour: ``step(pop, u, v, draws)``
+applies one interaction and returns the signed amount moved (positive when
+u sent to v), and ``edge_only`` says whether it can act only on a
+parent-child pair. ``draws`` supplies what the protocol may know beyond the
+pair: the generator ``rng``, the lazily drawn loss fraction ``beta()``, the
+ideal ``table`` (None until the tree is complete) and ``total_energy``.
+
 Whenever x units are sent, the receiver gets (1-beta)x and beta*x is
 destroyed. All firing conditions carry a tiny relative slack
 (core.CONDITION_SLACK) so protocols go quiet at their fixed points instead
@@ -35,6 +42,7 @@ from .core import (
     Population,
     TreeNetwork,
     resolve_beta,
+    spec_numbers,
     strictly_greater,
 )
 from .errors import DomainError
@@ -66,18 +74,12 @@ class LossModel:
 
     @staticmethod
     def parse(spec: str) -> "LossModel":
-        spec = spec.strip().lower()
+        spec = str(spec).strip().lower()
         if spec in ("lossless", "none", "0"):
             return LossModel.lossless()
         if spec.startswith("normal:"):
-            mean, stddev = (float(x) for x in spec.split(":", 1)[1].split(","))
-            return LossModel.normal(mean, stddev)
+            return LossModel.normal(*spec_numbers(spec, "loss model", 2))
         raise DomainError(f"cannot parse loss model {spec!r}")
-
-    def spec(self) -> str:
-        if self.kind == "lossless":
-            return "lossless"
-        return f"normal:{self.mean},{self.stddev}"
 
 
 def sample_beta(model: LossModel, rng: random.Random) -> float:
@@ -96,10 +98,31 @@ def sample_beta(model: LossModel, rng: random.Random) -> float:
 @dataclass(frozen=True)
 class IdealTarget:
     tag = "IDEAL"
+    edge_only = False
+
+    def step(self, pop: Population, u: int, v: int, draws) -> float:
+        if draws.table is None:
+            return 0.0  # no targets until the tree is complete
+        return ideal_target_step(pop.energy, u, v, draws.table, draws.beta)
+
+
+class _EdgeProtocol:
+    """Acts only when a parent and its child interact: ``edge_step`` moves
+    energy from the child c up to the parent p and returns the amount."""
+
+    edge_only = True
+
+    def step(self, pop: Population, u: int, v: int, draws) -> float:
+        parent = pop.network.parent
+        if parent[v] == u:
+            return -self.edge_step(pop.energy, u, v, draws)
+        if parent[u] == v:
+            return self.edge_step(pop.energy, v, u, draws)
+        return 0.0
 
 
 @dataclass(frozen=True)
-class LambdaExchange:
+class LambdaExchange(_EdgeProtocol):
     lam: float
     tag = "LAMBDA"
 
@@ -107,9 +130,12 @@ class LambdaExchange:
         if self.lam < 2:
             raise DomainError("exchange ratio must be >= 2")
 
+    def edge_step(self, energy: EnergyState, p: int, c: int, draws) -> float:
+        return lambda_exchange_step(energy, p, c, self.lam, draws.beta)
+
 
 @dataclass(frozen=True)
-class RandExchange:
+class RandExchange(_EdgeProtocol):
     lo: float = 2.0
     hi: float = 3.0
     tag = "RAND"
@@ -118,9 +144,12 @@ class RandExchange:
         if not 2 <= self.lo <= self.hi:
             raise DomainError("exchange ratio interval must satisfy 2 <= lo <= hi")
 
+    def edge_step(self, energy: EnergyState, p: int, c: int, draws) -> float:
+        return rand_exchange_step(energy, p, c, draws.rng, draws.beta, self.lo, self.hi)
+
 
 @dataclass(frozen=True)
-class KappaTransfer:
+class KappaTransfer(_EdgeProtocol):
     kappa: float
     tag = "KAPPA"
 
@@ -128,51 +157,43 @@ class KappaTransfer:
         if not 0 < self.kappa < 1:
             raise DomainError("transfer fraction must be in (0, 1)")
 
+    def edge_step(self, energy: EnergyState, p: int, c: int, draws) -> float:
+        return kappa_transfer_step(energy, p, c, self.kappa, draws.beta)
+
 
 @dataclass(frozen=True)
 class DepthTarget:
     k: int
     tag = "KDEPTH"
+    edge_only = False
 
     def __post_init__(self):
         if self.k < 2:
             raise DomainError("depth-target arity must be >= 2")
 
+    def step(self, pop: Population, u: int, v: int, draws) -> float:
+        return k_depth_target_step(pop, u, v, self.k, draws.total_energy, draws.beta)
+
 
 EnergyProtocol = Union[IdealTarget, LambdaExchange, RandExchange, KappaTransfer, DepthTarget]
 
-# Protocols that act only when a parent and its child interact.
-EDGE_ONLY = (LambdaExchange, RandExchange, KappaTransfer)
-
 
 def parse_energy_protocol(spec: str) -> EnergyProtocol:
-    spec = spec.strip().lower()
+    spec = str(spec).strip().lower()
+    what = "energy protocol"
     if spec == "ideal":
         return IdealTarget()
     if spec.startswith("lambda:"):
-        return LambdaExchange(float(spec.split(":", 1)[1]))
+        return LambdaExchange(*spec_numbers(spec, what, 1))
     if spec == "rand":
         return RandExchange()
     if spec.startswith("rand:"):
-        lo, hi = (float(x) for x in spec.split(":", 1)[1].split(","))
-        return RandExchange(lo, hi)
+        return RandExchange(*spec_numbers(spec, what, 2))
     if spec.startswith("kappa:"):
-        return KappaTransfer(float(spec.split(":", 1)[1]))
+        return KappaTransfer(*spec_numbers(spec, what, 1))
     if spec.startswith("kdepth:"):
-        return DepthTarget(int(spec.split(":", 1)[1]))
+        return DepthTarget(*spec_numbers(spec, what, 1, int))
     raise DomainError(f"cannot parse energy protocol {spec!r}")
-
-
-def protocol_spec(protocol: EnergyProtocol) -> str:
-    if isinstance(protocol, IdealTarget):
-        return "ideal"
-    if isinstance(protocol, LambdaExchange):
-        return f"lambda:{protocol.lam}"
-    if isinstance(protocol, RandExchange):
-        return f"rand:{protocol.lo},{protocol.hi}"
-    if isinstance(protocol, KappaTransfer):
-        return f"kappa:{protocol.kappa}"
-    return f"kdepth:{protocol.k}"
 
 
 @dataclass(frozen=True)

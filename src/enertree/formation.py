@@ -33,6 +33,7 @@ from .core import (
     TreeNetwork,
     classify,
     is_spanning_tree,
+    spec_numbers,
 )
 from .errors import DomainError
 
@@ -78,15 +79,12 @@ class FormationProtocol:
 
     @staticmethod
     def parse(spec: str) -> "FormationProtocol":
-        spec = spec.strip().lower()
+        spec = str(spec).strip().lower()
         if spec == ARBITRARY:
             return FormationProtocol.arbitrary()
         if spec.startswith("kary:"):
-            return FormationProtocol.kary(int(spec.split(":", 1)[1]))
+            return FormationProtocol.kary(*spec_numbers(spec, "formation protocol", 1, int))
         raise DomainError(f"cannot parse formation protocol {spec!r}")
-
-    def spec(self) -> str:
-        return ARBITRARY if self.kind == ARBITRARY else f"kary:{self.k}"
 
 
 def _tag_for_parent(has_parent: bool, nchildren: int) -> str:
@@ -231,11 +229,13 @@ def load_snapshot(
     d = [0] * n
     h = [0] * n
     energies = [0.0] * n
-    parents = [-1] * n
+    parents: list = [None] * n
     for parts in rows:
         i = int(parts[0])
         if not 0 <= i < n:
             raise DomainError(f"snapshot id {i} out of range")
+        if parents[i] is not None:
+            raise DomainError(f"duplicate snapshot id {i}")
         NodeState.from_token(parts[1])  # validates the token
         parents[i] = int(parts[2])
         w[i] = int(parts[3])

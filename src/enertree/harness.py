@@ -29,7 +29,8 @@ from .runner import (
     TWOPHASE,
     RecordedEnergyDriver,
     SimOutcome,
-    pair_count,
+    default_budget,
+    default_window,
     simulate,
 )
 from .scheduler import (
@@ -76,10 +77,13 @@ class ExperimentConfig:
     emit_metrics: bool = False
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ConfigError("n must be >= 1")
-        if self.repetitions < 1:
-            raise ConfigError("repetitions must be >= 1")
+        required = ("n", "repetitions")
+        for name in required + ("step_budget", "quiescence_window", "metric_cadence"):
+            value = getattr(self, name)
+            if (value is not None or name in required) and (type(value) is not int or value < 1):
+                raise ConfigError(f"{name} must be an integer >= 1 (got {value!r})")
+        if type(self.master_seed) is not int:
+            raise ConfigError(f"master_seed must be an integer (got {self.master_seed!r})")
         if self.initial_energy not in (UNIFORM, RANDOM):
             raise ConfigError(f"unknown initial energy mode {self.initial_energy!r}")
         if self.phase_mode not in (TWOPHASE, CONCURRENT):
@@ -88,12 +92,9 @@ class ExperimentConfig:
             raise ConfigError(f"unknown target basis {self.target_energy_basis!r}")
         if self.phase_mode == CONCURRENT and self.target_energy_basis != BASIS_INITIAL:
             raise ConfigError("concurrent mode requires target_energy_basis=initial")
-        if self.total_energy is not None and self.total_energy <= 0:
-            raise ConfigError("total_energy must be positive")
-        for name in ("step_budget", "quiescence_window", "metric_cadence"):
-            value = getattr(self, name)
-            if value is not None and (type(value) is not int or value < 1):
-                raise ConfigError(f"{name} must be an integer >= 1 (got {value!r})")
+        total = self.total_energy
+        if total is not None and (type(total) not in (int, float) or not 0 < total < math.inf):
+            raise ConfigError(f"total_energy must be positive and finite (got {total!r})")
         try:
             self.formation()
             if self.energy_protocol is not None:
@@ -118,18 +119,10 @@ class ExperimentConfig:
         return self.n * 1e3 if self.total_energy is None else self.total_energy
 
     def resolved_budget(self) -> int:
-        return (
-            500 * max(pair_count(self.n), 1)
-            if self.step_budget is None
-            else self.step_budget
-        )
+        return default_budget(self.n) if self.step_budget is None else self.step_budget
 
     def resolved_window(self) -> int:
-        return (
-            10 * max(pair_count(self.n), 1)
-            if self.quiescence_window is None
-            else self.quiescence_window
-        )
+        return default_window(self.n) if self.quiescence_window is None else self.quiescence_window
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -223,9 +216,7 @@ def run_single(
     seed = derive_run_seed(config.master_seed, run_index)
     rng = make_rng(seed)
     pop = build_population(config, rng)
-    scheduler = (
-        RandomScheduler(rng, config.n) if config.n > 1 else _NullScheduler()
-    )
+    scheduler = RandomScheduler(rng, config.n) if config.n > 1 else None
     if record_trace is None:
         record_trace = config.emit_traces
     if record_metrics is None:
@@ -250,11 +241,6 @@ def run_single(
         record_metrics=record_metrics,
     )
     return _result_from_outcome(config, run_index, seed, outcome)
-
-
-class _NullScheduler:
-    def next_pair(self):  # pragma: no cover - never called for n == 1
-        raise DomainError("no pairs in a single-node population")
 
 
 def _result_from_outcome(

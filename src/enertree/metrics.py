@@ -19,13 +19,7 @@ from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 from .core import EnergyState, TreeNetwork
-from .energy import (
-    EDGE_ONLY,
-    DepthTarget,
-    EnergyProtocol,
-    IdealEnergyTable,
-    IdealTarget,
-)
+from .energy import EnergyProtocol, IdealEnergyTable
 from .errors import DomainError
 
 
@@ -154,11 +148,7 @@ def convergence_kind(protocol: EnergyProtocol) -> str:
     """Exchange/transfer protocols converge when the distribution distance
     first hits zero; targeted protocols when no interaction moves energy for
     a full quiescence window."""
-    if isinstance(protocol, EDGE_ONLY):
-        return DD_ZERO
-    if isinstance(protocol, (IdealTarget, DepthTarget)):
-        return QUIESCENCE
-    raise DomainError(f"unknown protocol {protocol!r}")
+    return DD_ZERO if protocol.edge_only else QUIESCENCE
 
 
 class ConvergenceDetector:

@@ -7,6 +7,12 @@ and idempotent estimate updates). The energy protocol joins either once the
 tree is complete and the estimates have stabilized (two-phase mode) or from
 step 0 (concurrent mode).
 
+One loop runs every step of a run. Before the energy protocol joins
+(phase A) a step applies only the formation and estimation rules; after,
+it also moves energy and feeds the metrics and the convergence detector.
+Tree completion and estimate stabilization are checked in the same place
+for both.
+
 The same loop serves live execution and trace replay: the pair sequence
 comes from a scheduler (random or scripted from a trace) and energy moves
 come from a driver (computed live, or applied verbatim from the recorded
@@ -31,20 +37,10 @@ from typing import Optional, Sequence
 
 from .core import Population
 from .energy import (
-    EDGE_ONLY,
-    DepthTarget,
     EnergyProtocol,
     IdealEnergyTable,
-    IdealTarget,
-    LambdaExchange,
     LossModel,
-    RandExchange,
     compute_ideal_energies,
-    ideal_target_step,
-    k_depth_target_step,
-    kappa_transfer_step,
-    lambda_exchange_step,
-    rand_exchange_step,
     sample_beta,
 )
 from .errors import DomainError, InvariantError
@@ -89,6 +85,16 @@ def pair_count(n: int) -> int:
     return n * (n - 1) // 2
 
 
+def default_budget(n: int) -> int:
+    """Steps per phase when no budget is given: 500 per node pair."""
+    return 500 * max(pair_count(n), 1)
+
+
+def default_window(n: int) -> int:
+    """Quiescence window when none is given: 10 steps per node pair."""
+    return 10 * max(pair_count(n), 1)
+
+
 def _stabilize_cadence(n: int) -> int:
     # The stabilization oracle costs O(n); probe every step for small n and
     # every n steps beyond that.
@@ -96,60 +102,35 @@ def _stabilize_cadence(n: int) -> int:
 
 
 class LiveEnergyDriver:
-    """Computes protocol moves and samples the loss fraction lazily, so only
-    interactions that transfer energy consume a draw."""
+    """Computes protocol moves live. It is what a protocol's ``step`` draws
+    on: the generator, the loss fraction (sampled only when a transfer
+    happens, so idle interactions consume no draw), the ideal table once the
+    tree is complete, and the total energy."""
 
-    def __init__(self, protocol: EnergyProtocol, loss: LossModel, rng: random.Random):
+    def __init__(
+        self, protocol: EnergyProtocol, loss: LossModel, rng: random.Random, total_energy: float
+    ):
         self.protocol = protocol
         self.loss = loss
         self.rng = rng
+        self.total_energy = total_energy
         self.table: Optional[IdealEnergyTable] = None
-        self.total_energy: Optional[float] = None
+        self.drawn: Optional[float] = None  # the loss fraction of the current move
+
+    def beta(self) -> float:
+        self.drawn = sample_beta(self.loss, self.rng)
+        return self.drawn
 
     def move(self, pop: Population, u: int, v: int, step: int) -> tuple[float, Optional[float]]:
-        sampled: list[float] = []
-
-        def beta_fn() -> float:
-            b = sample_beta(self.loss, self.rng)
-            sampled.append(b)
-            return b
-
-        protocol = self.protocol
-        if isinstance(protocol, EDGE_ONLY):
-            net = pop.network
-            if net.parent[v] == u:
-                p, c = u, v
-            elif net.parent[u] == v:
-                p, c = v, u
-            else:
-                return 0.0, None
-            if isinstance(protocol, LambdaExchange):
-                x = lambda_exchange_step(pop.energy, p, c, protocol.lam, beta_fn)
-            elif isinstance(protocol, RandExchange):
-                x = rand_exchange_step(
-                    pop.energy, p, c, self.rng, beta_fn, protocol.lo, protocol.hi
-                )
-            else:
-                x = kappa_transfer_step(pop.energy, p, c, protocol.kappa, beta_fn)
-            moved = x if c == u else -x
-        elif isinstance(protocol, IdealTarget):
-            if self.table is None:
-                return 0.0, None  # no targets until the tree is complete
-            moved = ideal_target_step(pop.energy, u, v, self.table, beta_fn)
-        elif isinstance(protocol, DepthTarget):
-            if self.total_energy is None:
-                return 0.0, None
-            moved = k_depth_target_step(
-                pop, u, v, protocol.k, self.total_energy, beta_fn
-            )
-        else:
-            raise DomainError(f"unknown protocol {protocol!r}")
-        return moved, (sampled[0] if sampled else None)
+        self.drawn = None
+        return self.protocol.step(pop, u, v, self), self.drawn
 
 
 class RecordedEnergyDriver:
     """Applies the recorded signed amount and loss fraction of each step
     verbatim, reproducing the original float operations bit for bit."""
+
+    table = None  # simulate sets the ideal table on every driver; replay needs none
 
     def __init__(self, records: Sequence[TraceRecord]):
         self.records = records
@@ -187,16 +168,6 @@ class SimOutcome:
     @property
     def digest(self) -> str:
         return snapshot_digest(self.pop)
-
-
-def _validate_step(pop: Population) -> None:
-    e = pop.energy
-    ref = max(abs(e.initial_total), 1.0)
-    if abs(e.total() + e.lost - e.initial_total) > 1e-9 * ref:
-        raise InvariantError("energy conservation violated")
-    for value in e.per_node:
-        if value < 0.0:
-            raise InvariantError("negative node energy")
 
 
 def _edge_mask(
@@ -246,13 +217,12 @@ def simulate(
         raise DomainError(f"unknown phase mode {phase_mode!r}")
     if phase_mode == CONCURRENT and target_basis != BASIS_INITIAL:
         raise DomainError("concurrent mode requires the initial-energy basis")
-    pairs = pair_count(n)
     if formation_budget is None:
-        formation_budget = 500 * max(pairs, 1)
+        formation_budget = default_budget(n)
     if energy_budget is None:
-        energy_budget = 500 * max(pairs, 1)
+        energy_budget = default_budget(n)
     if window is None:
-        window = 10 * max(pairs, 1)
+        window = default_window(n)
     if metric_cadence is None:
         metric_cadence = 1 if n <= 10 else n
     for name, value in (
@@ -274,136 +244,96 @@ def simulate(
     formation_steps = 0 if complete else formation_budget
     stabilized_step = 0 if stabilized else None
     stab_cadence = _stabilize_cadence(n)
-    t = 0
-
     if formation is None and not complete:
         raise DomainError("redistribution on an incomplete network needs a formation protocol")
 
-    # ---- Phase A (two-phase mode): grow the tree, settle the estimates ----
-    if (
-        phase_mode == TWOPHASE
-        and formation is not None
-        and not (complete and stabilized)
-        and n > 1
-    ):
-        while t < formation_budget:
-            u, v = scheduler.next_pair()
-            tag = apply_formation_rule(formation, pop, u, v)
-            apply_estimation_rules(pop, u, v)
-            if trace is not None:
-                trace.append(TraceRecord(t, u, v, tag))
-            t += 1
-            if not complete:
-                if tag in CONNECTING_RULES and net.edge_count == n - 1:
-                    if is_formation_complete(net):
-                        complete = True
-                        formation_steps = t
-                        if estimation_stabilized(pop):
-                            stabilized = True
-                            stabilized_step = t
-            elif (t - formation_steps) % stab_cadence == 0:
-                if estimation_stabilized(pop):
-                    stabilized = True
-                    stabilized_step = t
-            if complete and stabilized:
-                break
-
-    estimation_steps = (
-        (stabilized_step - formation_steps) if stabilized_step is not None else 0
-    )
-
-    outcome = SimOutcome(
-        pop=pop,
-        completed=complete,
-        stabilized=stabilized,
-        formation_steps=formation_steps,
-        estimation_steps=estimation_steps,
-        total_steps=t,
-    )
-
-    if energy_protocol is None:
-        if trace is not None:
-            trace.final_digest = snapshot_digest(pop)
-            outcome.trace = trace
-        return outcome
-
-    if phase_mode == TWOPHASE and not complete:
-        # Formation never finished; report an unconverged run.
-        outcome.report = ConvergenceReport(
-            tau=energy_budget, dd_at_tau=math.nan, lost_at_tau=e.lost, converged=False
-        )
-        if trace is not None:
-            trace.final_digest = snapshot_digest(pop)
-            outcome.trace = trace
-        return outcome
-
-    # ---- Redistribution (phase B, or the whole run in concurrent mode) ----
-    basis_total = e.initial_total if target_basis == BASIS_INITIAL else e.total()
-    dd_tol = DD_TOL_FRACTION * basis_total
-    driver = energy_driver
-    if driver is None:
-        driver = LiveEnergyDriver(energy_protocol, loss, rng or random.Random(0))
-    if isinstance(driver, LiveEnergyDriver):
-        driver.total_energy = basis_total
-    ideal: Optional[IdealEnergyTable] = None
-    if complete:
-        ideal = compute_ideal_energies(net, basis_total)
-        if isinstance(energy_protocol, IdealTarget) and isinstance(driver, LiveEnergyDriver):
-            driver.table = ideal
-            pop.targets = ideal.values
-
-    kind = convergence_kind(energy_protocol)
-    detector = ConvergenceDetector(kind, window, dd_tol, horizon=energy_budget)
-    dd = distribution_distance(net, e)
-    samples = [MetricSample(0, dd, e.total(), e.lost)]
-    if complete or kind == QUIESCENCE:
-        detector.observe(0, dd, 0.0, e.lost)
-    proto_tag = energy_protocol.tag
-    s = 0
+    driver = ideal = basis_total = None
+    if energy_protocol is not None:
+        basis_total = e.initial_total if target_basis == BASIS_INITIAL else e.total()
+        driver = energy_driver
+        if driver is None:
+            driver = LiveEnergyDriver(energy_protocol, loss, rng or random.Random(0), basis_total)
+        if complete:
+            ideal = driver.table = compute_ideal_energies(net, basis_total)
+        kind = convergence_kind(energy_protocol)
+        dd_tol = DD_TOL_FRACTION * basis_total
+        detector = ConvergenceDetector(kind, window, dd_tol, horizon=energy_budget)
     # Idle steps can be skipped once the tree is stable (see the module
     # docstring); mask is the scheduler's edge filter from then on.
     can_skip = (
-        isinstance(scheduler, RandomScheduler)
-        and isinstance(driver, LiveEnergyDriver)
-        and isinstance(driver.protocol, EDGE_ONLY)
+        energy_driver is None
+        and energy_protocol is not None
+        and energy_protocol.edge_only
+        and isinstance(scheduler, RandomScheduler)
         and trace is None
         and not validate
     )
-    mask = _edge_mask(pop, formation, scheduler) if can_skip and stabilized else None
+    mask = None
     skipped = 0
 
-    if n > 1:
-        while not detector.decided and s < energy_budget:
-            if mask is not None and dd > dd_tol:
-                stop = min(s - s % metric_cadence + metric_cadence, energy_budget)
-                k, u, v = scheduler.skip(stop - s, mask)
-                skipped += k - 1
-                s += k
-            else:
-                u, v = scheduler.next_pair()
-                s += 1
-            tag = apply_formation_rule(formation, pop, u, v) if formation else NOOP
-            apply_estimation_rules(pop, u, v)
-            if tag in CONNECTING_RULES:
+    # Phase A (two-phase mode only) grows the tree and settles the
+    # estimates within formation_budget steps; then the energy protocol
+    # joins (moving) for at most energy_budget steps, from t0 on.
+    in_phase_a = phase_mode == TWOPHASE and formation is not None and n > 1
+    end = formation_budget if in_phase_a else 0
+    moving = False
+    t = t0 = 0
+    moved, beta = 0.0, None
+    while True:
+        if moving:
+            if detector.decided or t >= end:
+                break
+        elif t >= end or stabilized:
+            # Phase A is over, or never ran: the energy protocol joins now.
+            if driver is None or (phase_mode == TWOPHASE and not complete):
+                break
+            moving = True
+            t0 = t
+            end = t + energy_budget
+            dd = distribution_distance(net, e)
+            samples = [MetricSample(0, dd, e.total(), e.lost)]
+            if complete or kind == QUIESCENCE:
+                detector.observe(0, dd, 0.0, e.lost)
+            if n == 1:  # a single node: nothing can ever move
+                detector.force_converged(0, dd, e.lost)
+            if can_skip and stabilized:
+                mask = _edge_mask(pop, formation, scheduler)
+            continue
+
+        if mask is not None and dd > dd_tol:
+            s = t - t0
+            stop = min(s - s % metric_cadence + metric_cadence, energy_budget)
+            k, u, v = scheduler.skip(stop - s, mask)
+            skipped += k - 1
+            t += k
+        else:
+            u, v = scheduler.next_pair()
+            t += 1
+        tag = apply_formation_rule(formation, pop, u, v) if formation else NOOP
+        apply_estimation_rules(pop, u, v)
+        probe = False
+        if tag in CONNECTING_RULES:
+            if moving:
                 dd = distribution_distance(net, e)  # a new edge joined the sum
-                if not complete and net.edge_count == n - 1 and is_formation_complete(net):
-                    complete = True
-                    formation_steps = t + s
-                    ideal = compute_ideal_energies(net, basis_total)
-                    if isinstance(energy_protocol, IdealTarget) and isinstance(
-                        driver, LiveEnergyDriver
-                    ):
-                        driver.table = ideal
-                        pop.targets = ideal.values
-            elif not stabilized and complete and (t + s) % stab_cadence == 0:
-                if estimation_stabilized(pop):
-                    stabilized = True
-                    stabilized_step = t + s
-                    estimation_steps = stabilized_step - formation_steps
-                    if can_skip:
-                        mask = _edge_mask(pop, formation, scheduler)
+            if not complete and net.edge_count == n - 1 and is_formation_complete(net):
+                complete = True
+                formation_steps = t
+                if driver is not None:
+                    ideal = driver.table = compute_ideal_energies(net, basis_total)
+                probe = not moving  # phase A probes at once
+        elif not stabilized and complete:
+            # Phase A probes every stab_cadence steps counted from
+            # formation_steps; later probes are aligned to the absolute step.
+            probe = (t - (0 if moving else formation_steps)) % stab_cadence == 0
+        if probe and estimation_stabilized(pop):
+            stabilized = True
+            stabilized_step = t
+            if moving and can_skip:
+                mask = _edge_mask(pop, formation, scheduler)
+        if moving:
+            s = t - t0
             pre = incident_distance(net, e, u, v)
-            moved, beta_used = driver.move(pop, u, v, t + s - 1)
+            moved, beta = driver.move(pop, u, v, t - 1)
             if moved:
                 dd += incident_distance(net, e, u, v) - pre
                 if dd < 0.0:
@@ -412,33 +342,40 @@ def simulate(
                 dd = distribution_distance(net, e)  # confirm before declaring
             if complete or kind == QUIESCENCE:
                 detector.observe(s, dd, moved, e.lost)
-            if trace is not None:
-                rule = tag if tag != NOOP else (proto_tag if moved else NOOP)
-                trace.append(
-                    TraceRecord(t + s - 1, u, v, rule, moved or None, beta_used)
-                )
             if s % metric_cadence == 0:
                 dd = distribution_distance(net, e)  # resync any float drift
                 if record_metrics:
                     samples.append(MetricSample(s, dd, e.total(), e.lost))
             if validate:
-                _validate_step(pop)
-        if record_metrics and s % metric_cadence != 0:
-            samples.append(MetricSample(s, distribution_distance(net, e), e.total(), e.lost))
-    else:
-        # Degenerate single-node population: nothing can ever move.
-        detector.force_converged(0, dd, e.lost)
+                if not e.conservation_ok():
+                    raise InvariantError("energy conservation violated")
+                if min(e.per_node) < 0.0:
+                    raise InvariantError("negative node energy")
+        if trace is not None:
+            rule = tag if tag != NOOP or not moved else energy_protocol.tag
+            trace.append(TraceRecord(t - 1, u, v, rule, moved or None, beta))
 
-    outcome.completed = complete
-    outcome.stabilized = stabilized
-    outcome.formation_steps = formation_steps
-    outcome.estimation_steps = estimation_steps
-    outcome.total_steps = t + s
-    outcome.skipped_steps = skipped
-    outcome.report = detector.report()
-    outcome.samples = samples
-    outcome.ideal = ideal
-    outcome.basis_total = basis_total
+    if moving and record_metrics and (t - t0) % metric_cadence != 0:
+        samples.append(MetricSample(t - t0, distribution_distance(net, e), e.total(), e.lost))
+    outcome = SimOutcome(
+        pop=pop,
+        completed=complete,
+        stabilized=stabilized,
+        formation_steps=formation_steps,
+        estimation_steps=0 if stabilized_step is None else stabilized_step - formation_steps,
+        total_steps=t,
+        skipped_steps=skipped,
+    )
+    if moving:
+        outcome.report = detector.report()
+        outcome.samples = samples
+        outcome.ideal = ideal
+        outcome.basis_total = basis_total
+    elif driver is not None:
+        # Formation never finished; report an unconverged run.
+        outcome.report = ConvergenceReport(
+            tau=energy_budget, dd_at_tau=math.nan, lost_at_tau=e.lost, converged=False
+        )
     if trace is not None:
         trace.final_digest = snapshot_digest(pop)
         outcome.trace = trace

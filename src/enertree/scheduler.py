@@ -140,10 +140,6 @@ class ScriptedScheduler:
         self.n = n
         self.rng = rng
 
-    @property
-    def exhausted(self) -> bool:
-        return self.pos >= len(self.pairs)
-
     def next_pair(self) -> tuple[int, int]:
         if self.pos < len(self.pairs):
             pair = self.pairs[self.pos]
@@ -152,14 +148,6 @@ class ScriptedScheduler:
         if self.rng is None or self.n is None:
             raise DomainError("scripted scheduler exhausted and no fallback rng")
         return sample_pair(self.rng, self.n)
-
-
-def scripted_scheduler(
-    pairs: Sequence[tuple[int, int]],
-    n: Optional[int] = None,
-    rng: Optional[random.Random] = None,
-) -> ScriptedScheduler:
-    return ScriptedScheduler(pairs, n=n, rng=rng)
 
 
 @dataclass(frozen=True)

@@ -173,13 +173,6 @@ def test_population_requires_unique_merge_keys():
         Population(net, EnergyState([0.0] * 3), w=[1, 1, 2])
 
 
-def test_population_config_view(demo_pop):
-    cfg = demo_pop.config(5)
-    assert cfg.state == NodeState(NodeKind.ROOT, 2)
-    assert cfg.energy == 600.0
-    assert cfg.registers.target is None
-
-
 def test_is_spanning_tree():
     assert is_spanning_tree(TreeNetwork(1))
     pop = build_tree(6, DEMO_EDGES)

@@ -41,16 +41,44 @@ def _cases() -> dict[str, dict]:
         for n in SIZES:
             for loss in LOSSES:
                 cases[f"n{n}-{proto}-{loss.split(':')[0]}"] = dict(n=n, energy_protocol=proto, loss=loss)
+    for n in (17, 30):
+        for proto in ("ideal", "kdepth:2"):
+            for loss in LOSSES:
+                cases[f"n{n}-{proto}-{loss.split(':')[0]}"] = dict(n=n, energy_protocol=proto, loss=loss)
+        # The stabilization probe and the metric cadence are both n here.
+        for proto in ("lambda:2", "kdepth:2"):
+            cases[f"n{n}-{proto}-concurrent"] = dict(
+                n=n, energy_protocol=proto, phase_mode="concurrent", target_energy_basis="initial",
+            )
+    for n in (10, 30):
+        for proto in ("lambda:2", "ideal"):
+            cases[f"n{n}-{proto}-arbitrary"] = dict(
+                n=n, protocol="arbitrary", energy_protocol=proto, emit_traces=n == 10,
+            )
+    for proto in ("lambda:2", "ideal"):
+        cases[f"n10-{proto}-uniform"] = dict(n=10, energy_protocol=proto, initial_energy="uniform")
+    # Run 0 runs out of phase A before its estimates settle; run 1 never
+    # stabilizes.
+    cases["n17-lambda:2-budget400"] = dict(
+        n=17, energy_protocol="lambda:2", step_budget=400, emit_traces=True
+    )
+    # Formation never finishes within the budget.
+    for mode, basis in (("twophase", "post_formation"), ("concurrent", "initial")):
+        cases[f"n30-lambda:2-budget60-{mode}"] = dict(
+            n=30, energy_protocol="lambda:2", step_budget=60, phase_mode=mode,
+            target_energy_basis=basis, emit_traces=True,
+        )
     return cases
 
 
 CASES = _cases()
 
 
+BASE = dict(repetitions=3, master_seed=2024, initial_energy="random", emit_metrics=True)
+
+
 def artifact_digest(fields: dict, out: Path) -> str:
-    config = ExperimentConfig(
-        repetitions=3, master_seed=2024, initial_energy="random", emit_metrics=True, **fields
-    )
+    config = ExperimentConfig(**{**BASE, **fields})
     summary = run_experiment(config, out_dir=out)
     h = hashlib.sha256()
     for name in ("runs.csv", "summary.json"):
@@ -136,6 +164,29 @@ GOLDEN = {
     "n30-lambda:2-normal": "aa05c98cc66405605145",
     "n30-rand-lossless": "3a94d79c21701042e9ad",
     "n30-rand-normal": "2af59ec6d4d24b0f22f5",
+    # Paths the matrix above leaves out: arbitrary trees, targeted protocols
+    # and concurrent mode beyond n=10, uniform energies, short budgets.
+    "n10-ideal-arbitrary": "1ab25a3b8819099765dd",
+    "n10-ideal-uniform": "33d090d22a5ef105b3f7",
+    "n10-lambda:2-arbitrary": "2de9985f4a9687861ea7",
+    "n10-lambda:2-uniform": "d0c59ac28ef5f7bb0082",
+    "n17-ideal-lossless": "0d36fb7c07c1441570e3",
+    "n17-ideal-normal": "fe0c0471ca2ab1ccf1f7",
+    "n17-kdepth:2-concurrent": "cd28d7d2f4bda21d18f2",
+    "n17-kdepth:2-lossless": "105392f3eea95532bce5",
+    "n17-kdepth:2-normal": "416a0875fd651ea20098",
+    "n17-lambda:2-budget400": "8f692e95798df1cb8ed4",
+    "n17-lambda:2-concurrent": "3e5387e09360f746f9cc",
+    "n30-ideal-arbitrary": "ef225fb1d94f64c7f414",
+    "n30-ideal-lossless": "56991f2ba8a2bbbd11e7",
+    "n30-ideal-normal": "0d184853d6831c806dac",
+    "n30-kdepth:2-concurrent": "73912b56258bfc00c2ac",
+    "n30-kdepth:2-lossless": "7b80a2fab90ed4d3669e",
+    "n30-kdepth:2-normal": "dbb7c160b8e03afceec2",
+    "n30-lambda:2-arbitrary": "76b9ebe7507e814e9e13",
+    "n30-lambda:2-budget60-concurrent": "78e591711b4da8032861",
+    "n30-lambda:2-budget60-twophase": "a90799e4b23f3595edcb",
+    "n30-lambda:2-concurrent": "46e27f58299c74b982bb",
 }
 
 

@@ -56,13 +56,49 @@ def test_config_rejects_bad_loop_settings(field, value):
         ExperimentConfig(**{field: value})
 
 
-@pytest.mark.parametrize("setting", [{"metric_cadence": 0}, {"step_budget": -5}])
+@pytest.mark.parametrize("setting", [
+    {"metric_cadence": 0}, {"step_budget": -5},
+    # malformed or non-finite spec parameters
+    {"energy_protocol": "lambda:abc"}, {"energy_protocol": "rand:3"}, {"loss": "normal:0.2"},
+    {"protocol": "kary:x"}, {"energy_protocol": "kdepth:2.5"},
+    {"energy_protocol": "lambda:nan"}, {"energy_protocol": "lambda:inf"}, {"loss": 5},
+])
 def test_cli_experiment_rejects_bad_loop_settings(tmp_path, capsys, setting):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n": 5, "repetitions": 1, **setting}))
     assert cli_main(["experiment", "--config", str(cfg), "--quiet"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("setting", [
+    {"n": 10.5}, {"n": True}, {"n": None}, {"repetitions": 1.5}, {"master_seed": 1.5},
+    {"total_energy": math.nan}, {"total_energy": math.inf}, {"total_energy": True},
+])
+def test_cli_experiment_rejects_bad_numbers(tmp_path, capsys, setting):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 5, "repetitions": 1, **setting}))
+    assert cli_main(["experiment", "--config", str(cfg), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert next(iter(setting)) in err
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda rows: rows[0][:-1] + ["nan"], "finite"),
+    (lambda rows: ["1"] + rows[0][1:], "duplicate snapshot id 1"),
+])
+def test_cli_redistribute_rejects_bad_snapshot(tmp_path, capsys, edit, message):
+    snap = tmp_path / "snap.txt"
+    assert cli_main(["form", "--n", "6", "--out", str(snap), "--quiet"]) == 0
+    rows = [line.split() for line in snap.read_text().splitlines() if not line.startswith("#")]
+    rows[0] = edit(rows)
+    snap.write_text("\n".join(" ".join(row) for row in rows) + "\n")
+    rc = cli_main(["redistribute", "--snapshot", str(snap), "--energy-protocol", "lambda:2",
+                   "--quiet"])
+    err = capsys.readouterr().err
+    assert rc == 1 and err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
 
 
 def test_config_json_roundtrip(tmp_path):

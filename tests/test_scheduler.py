@@ -13,7 +13,6 @@ from enertree.scheduler import (
     make_rng,
     read_trace,
     sample_pair,
-    scripted_scheduler,
     write_trace,
 )
 
@@ -142,7 +141,7 @@ def test_derive_run_seed_spreads():
 
 
 def test_scripted_scheduler_plays_script_then_falls_back():
-    sched = scripted_scheduler([(0, 1), (2, 3)], n=5, rng=make_rng(0))
+    sched = ScriptedScheduler([(0, 1), (2, 3)], n=5, rng=make_rng(0))
     assert sched.next_pair() == (0, 1)
     assert sched.next_pair() == (2, 3)
     u, v = sched.next_pair()  # fallback draw
@@ -150,16 +149,16 @@ def test_scripted_scheduler_plays_script_then_falls_back():
 
 
 def test_scripted_scheduler_empty_script_behaves_as_sampler():
-    sched = scripted_scheduler([], n=2, rng=make_rng(0))
+    sched = ScriptedScheduler([], n=2, rng=make_rng(0))
     for _ in range(20):
         assert set(sched.next_pair()) == {0, 1}
 
 
 def test_scripted_scheduler_validates_pairs():
     with pytest.raises(DomainError):
-        scripted_scheduler([(0, 0)], n=3)
+        ScriptedScheduler([(0, 0)], n=3)
     with pytest.raises(DomainError):
-        scripted_scheduler([(0, 9)], n=3)
+        ScriptedScheduler([(0, 9)], n=3)
 
 
 def test_scripted_scheduler_exhaustion_without_fallback():
