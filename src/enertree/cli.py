@@ -19,15 +19,10 @@ from pathlib import Path
 from .energy import LossModel, parse_energy_protocol
 from .errors import ConfigError, DomainError, ReplayMismatch
 from .formation import load_snapshot, snapshot_digest, snapshot_lines
-from .harness import (
-    ExperimentConfig,
-    build_population,
-    replay_trace,
-    run_experiment,
-)
+from .harness import ExperimentConfig, replay_trace, run_experiment, run_single
 from .metrics import energy_distance, write_metrics_csv
 from .runner import simulate
-from .scheduler import RandomScheduler, derive_run_seed, make_rng, read_trace
+from .scheduler import RandomScheduler, make_rng, read_trace
 
 
 class _Parser(argparse.ArgumentParser):
@@ -96,17 +91,8 @@ def _cmd_form(args) -> int:
         master_seed=args.seed,
         repetitions=1,
     )
-    seed = derive_run_seed(config.master_seed, 0)
-    rng = make_rng(seed)
-    pop = build_population(config, rng)
-    scheduler = RandomScheduler(rng, config.n) if config.n > 1 else None
-    outcome = simulate(
-        pop,
-        formation=config.formation(),
-        scheduler=scheduler,
-        rng=rng,
-        formation_budget=config.resolved_budget(),
-    )
+    outcome = run_single(config, 0).outcome
+    pop = outcome.pop
     if not outcome.completed:
         print("formation did not complete within the step budget", file=sys.stderr)
         return 1
@@ -125,29 +111,27 @@ def _cmd_form(args) -> int:
 def _cmd_redistribute(args) -> int:
     try:
         lines = Path(args.snapshot).read_text().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read snapshot: {exc}")
     pop = load_snapshot(lines)
     protocol = parse_energy_protocol(args.energy_protocol)
     loss = LossModel.parse(args.loss)
-    rng = make_rng(args.seed)
-    scheduler = RandomScheduler(rng, pop.n) if pop.n > 1 else None
+    scheduler = RandomScheduler(make_rng(args.seed), pop.n) if pop.n > 1 else None
     outcome = simulate(
         pop,
         formation=None,
         scheduler=scheduler,
-        rng=rng,
         energy_protocol=protocol,
         loss=loss,
         energy_budget=args.budget,
         window=args.window,
     )
     report = outcome.report
-    report.ed = energy_distance(pop.energy.per_node, outcome.ideal)
+    ed = energy_distance(pop.energy.per_node, outcome.ideal)
     _say(
         args,
         f"converged={report.converged} tau={report.tau} "
-        f"dd_at_tau={report.dd_at_tau:.6g} ed={report.ed:.6g} "
+        f"dd_at_tau={report.dd_at_tau:.6g} ed={ed:.6g} "
         f"lost={outcome.pop.energy.lost:.6g}",
     )
     if args.out:
@@ -245,10 +229,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except DomainError as exc:
+    except (ConfigError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ReplayMismatch as exc:

@@ -29,6 +29,10 @@ REL_TOL = 1e-9
 # below 1e-9 of the total for convergence detection.
 CONDITION_SLACK = 1e-12
 
+# Largest energy a node may start with, so that sums and multiples of
+# energies (distances, exchange ratios) stay finite floats.
+MAX_ENERGY = 1e300
+
 
 def strictly_greater(a: float, b: float, tol: float = CONDITION_SLACK) -> bool:
     """True if ``a > b`` by more than ``tol`` relative to their magnitude."""
@@ -44,9 +48,10 @@ def spec_numbers(spec: str, what: str, count: int, cast=float) -> list:
     ``name:p1,p2`` spec; DomainError unless each is a finite ``cast``."""
     try:
         values = [cast(x) for x in spec.split(":", 1)[1].split(",")]
-    except ValueError:
-        values = []
-    if len(values) != count or not all(math.isfinite(x) for x in values):
+        ok = len(values) == count and all(math.isfinite(x) for x in values)
+    except (ValueError, OverflowError):  # an int too large for a float overflows
+        ok = False
+    if not ok:
         raise DomainError(f"cannot parse {what} {spec!r}")
     return values
 
@@ -255,8 +260,8 @@ class EnergyState:
 
     def __init__(self, per_node: Sequence[float]):
         for e in per_node:
-            if not 0 <= e < math.inf:
-                raise DomainError(f"initial energy must be finite and non-negative (got {e!r})")
+            if not 0 <= e <= MAX_ENERGY:
+                raise DomainError(f"initial energy must be finite, >= 0 and <= 1e300 (got {e!r})")
         self.per_node: list[float] = list(per_node)
         self.lost: float = 0.0
         self.initial_total: float = math.fsum(self.per_node)

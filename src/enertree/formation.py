@@ -28,14 +28,13 @@ from typing import Optional, Sequence
 
 from .core import (
     EnergyState,
-    NodeState,
     Population,
     TreeNetwork,
     classify,
     is_spanning_tree,
     spec_numbers,
 )
-from .errors import DomainError
+from .errors import DomainError, InvariantError
 
 ARBITRARY = "arbitrary"
 KARY = "kary"
@@ -212,15 +211,24 @@ def snapshot_digest(pop: Population) -> str:
 def load_snapshot(
     lines: Sequence[str], arity_bound: Optional[int] = None
 ) -> Population:
+    """Parse a snapshot. DomainError on a malformed line or number, an id
+    out of range or repeated, a register outside [0, n), a parent that is
+    the node itself or closes a cycle, or a state token that the parent
+    column contradicts."""
     rows = []
     for line in lines:
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         parts = line.split()
-        if len(parts) != 7:
-            raise DomainError(f"malformed snapshot line: {line!r}")
-        rows.append(parts)
+        try:
+            if len(parts) == 7:
+                ints = [int(x) for x in parts[:1] + parts[2:6]]
+                rows.append((ints, parts[1], float(parts[6])))
+                continue
+        except ValueError:
+            pass
+        raise DomainError(f"malformed snapshot line: {line!r}")
     n = len(rows)
     if n == 0:
         raise DomainError("empty snapshot")
@@ -230,19 +238,26 @@ def load_snapshot(
     h = [0] * n
     energies = [0.0] * n
     parents: list = [None] * n
-    for parts in rows:
-        i = int(parts[0])
+    tokens = [""] * n
+    for (i, parent, *registers), token, energy in rows:
         if not 0 <= i < n:
             raise DomainError(f"snapshot id {i} out of range")
         if parents[i] is not None:
             raise DomainError(f"duplicate snapshot id {i}")
-        NodeState.from_token(parts[1])  # validates the token
-        parents[i] = int(parts[2])
-        w[i] = int(parts[3])
-        d[i] = int(parts[4])
-        h[i] = int(parts[5])
-        energies[i] = float(parts[6])
+        if not all(0 <= r < n for r in registers):
+            raise DomainError(f"snapshot node {i}: w, d and h must lie in [0, {n})")
+        parents[i] = parent
+        w[i], d[i], h[i] = registers
+        tokens[i] = token
+        energies[i] = energy
     for i, p in enumerate(parents):
         if p != -1:
-            net.add_edge(p, i)
+            try:
+                net.add_edge(p, i)
+            except InvariantError as exc:
+                raise DomainError(f"snapshot parent {p} of node {i}: {exc}") from exc
+    for i, token in enumerate(tokens):
+        state = classify(net, i).token()
+        if token != state:
+            raise DomainError(f"snapshot node {i} has state {token} but its edges make it {state}")
     return Population(net, EnergyState(energies), w=w, d=d, h=h, fresh=False)

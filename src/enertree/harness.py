@@ -13,11 +13,11 @@ import csv
 import json
 import math
 import statistics
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
-from .core import EnergyState, Population, TreeNetwork
+from .core import MAX_ENERGY, EnergyState, Population, TreeNetwork
 from .energy import EnergyProtocol, LossModel, parse_energy_protocol
 from .errors import ConfigError, DomainError, ReplayMismatch
 from .formation import FormationProtocol, snapshot_digest
@@ -45,19 +45,6 @@ from .scheduler import (
 UNIFORM = "uniform"
 RANDOM = "random"
 
-RUNS_CSV_HEADER = [
-    "run_index",
-    "seed",
-    "formation_steps",
-    "estimation_steps",
-    "tau",
-    "converged",
-    "ed",
-    "ed_percent",
-    "loss_percent",
-]
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     n: int = 10
@@ -84,6 +71,9 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be an integer >= 1 (got {value!r})")
         if type(self.master_seed) is not int:
             raise ConfigError(f"master_seed must be an integer (got {self.master_seed!r})")
+        for name in ("emit_traces", "emit_metrics"):
+            if type(getattr(self, name)) is not bool:
+                raise ConfigError(f"{name} must be true or false (got {getattr(self, name)!r})")
         if self.initial_energy not in (UNIFORM, RANDOM):
             raise ConfigError(f"unknown initial energy mode {self.initial_energy!r}")
         if self.phase_mode not in (TWOPHASE, CONCURRENT):
@@ -93,8 +83,8 @@ class ExperimentConfig:
         if self.phase_mode == CONCURRENT and self.target_energy_basis != BASIS_INITIAL:
             raise ConfigError("concurrent mode requires target_energy_basis=initial")
         total = self.total_energy
-        if total is not None and (type(total) not in (int, float) or not 0 < total < math.inf):
-            raise ConfigError(f"total_energy must be positive and finite (got {total!r})")
+        if total is not None and (type(total) not in (int, float) or not 0 < total <= MAX_ENERGY):
+            raise ConfigError(f"total_energy must be positive and <= 1e300 (got {total!r})")
         try:
             self.formation()
             if self.energy_protocol is not None:
@@ -124,6 +114,22 @@ class ExperimentConfig:
     def resolved_window(self) -> int:
         return default_window(self.n) if self.quiescence_window is None else self.quiescence_window
 
+    def engine_args(self) -> dict:
+        """The ``simulate`` keywords this config fixes, for live runs and
+        replay alike."""
+        budget = self.resolved_budget()
+        return dict(
+            formation=self.formation(),
+            energy_protocol=self.energy(),
+            loss=self.loss_model(),
+            phase_mode=self.phase_mode,
+            formation_budget=budget,
+            energy_budget=budget,
+            window=self.resolved_window(),
+            metric_cadence=self.metric_cadence,
+            target_basis=self.target_energy_basis,
+        )
+
     def to_dict(self) -> dict:
         return asdict(self)
 
@@ -142,7 +148,7 @@ class ExperimentConfig:
     def from_json(path: "str | Path") -> "ExperimentConfig":
         try:
             data = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError("config file must hold a JSON object")
@@ -191,17 +197,16 @@ class RunResult:
     outcome: SimOutcome = field(repr=False)
 
     def row(self) -> dict:
-        return {
-            "run_index": self.run_index,
-            "seed": self.seed,
-            "formation_steps": self.formation_steps,
-            "estimation_steps": self.estimation_steps,
-            "tau": self.tau,
-            "converged": int(self.converged),
-            "ed": self.ed,
-            "ed_percent": self.ed_percent,
-            "loss_percent": self.loss_percent,
-        }
+        return {name: cast(getattr(self, name)) for name, cast in RUNS_CSV_CASTS.items()}
+
+
+# A runs.csv row is every RunResult field but the outcome, converged as 0/1.
+RUNS_CSV_CASTS = {
+    f.name: {"int": int, "bool": int, "float": float}[f.type]
+    for f in fields(RunResult)
+    if f.name != "outcome"
+}
+RUNS_CSV_HEADER = list(RUNS_CSV_CASTS)
 
 
 def run_single(
@@ -223,22 +228,11 @@ def run_single(
         record_metrics = config.emit_metrics
     outcome = simulate(
         pop,
-        formation=config.formation(),
         scheduler=scheduler,
-        rng=rng,
-        energy_protocol=config.energy(),
-        loss=config.loss_model(),
-        phase_mode=config.phase_mode,
-        formation_budget=config.resolved_budget(),
-        energy_budget=config.resolved_budget(),
-        window=config.resolved_window(),
-        metric_cadence=config.metric_cadence,
-        target_basis=config.target_energy_basis,
-        record_trace=record_trace,
-        trace_seed=seed,
-        trace_config=config.to_dict(),
+        trace=InteractionTrace(seed, config.to_dict()) if record_trace else None,
         validate=validate,
         record_metrics=record_metrics,
+        **config.engine_args(),
     )
     return _result_from_outcome(config, run_index, seed, outcome)
 
@@ -257,8 +251,6 @@ def _result_from_outcome(
     else:
         ed = math.nan
         ed_percent = math.nan
-    if report is not None:
-        report.ed = ed
     initial_total = outcome.pop.energy.initial_total
     loss_percent = (
         100.0 * outcome.pop.energy.lost / initial_total if initial_total > 0 else 0.0
@@ -359,23 +351,11 @@ def run_experiment(
 
 
 def read_runs_csv(path: "str | Path") -> list[dict]:
-    rows = []
     with open(path, newline="") as fh:
-        for raw in csv.DictReader(fh):
-            rows.append(
-                {
-                    "run_index": int(raw["run_index"]),
-                    "seed": int(raw["seed"]),
-                    "formation_steps": int(raw["formation_steps"]),
-                    "estimation_steps": int(raw["estimation_steps"]),
-                    "tau": int(raw["tau"]),
-                    "converged": int(raw["converged"]),
-                    "ed": float(raw["ed"]),
-                    "ed_percent": float(raw["ed_percent"]),
-                    "loss_percent": float(raw["loss_percent"]),
-                }
-            )
-    return rows
+        return [
+            {name: cast(raw[name]) for name, cast in RUNS_CSV_CASTS.items()}
+            for raw in csv.DictReader(fh)
+        ]
 
 
 def replay_trace(trace: InteractionTrace) -> SimOutcome:
@@ -389,19 +369,10 @@ def replay_trace(trace: InteractionTrace) -> SimOutcome:
     try:
         outcome = simulate(
             pop,
-            formation=config.formation(),
             scheduler=scheduler,
-            rng=None,
-            energy_protocol=config.energy(),
-            loss=config.loss_model(),
-            phase_mode=config.phase_mode,
-            formation_budget=config.resolved_budget(),
-            energy_budget=config.resolved_budget(),
-            window=config.resolved_window(),
-            metric_cadence=config.metric_cadence,
-            target_basis=config.target_energy_basis,
             energy_driver=RecordedEnergyDriver(trace.records),
             record_metrics=False,
+            **config.engine_args(),
         )
     except DomainError as exc:
         # e.g. the re-execution did not stop where the record did, so the

@@ -135,9 +135,7 @@ def write_metrics_csv(samples: Iterable[MetricSample], path: "str | Path") -> No
 class ConvergenceReport:
     tau: int
     dd_at_tau: float
-    lost_at_tau: float
     converged: bool
-    ed: float = math.nan
 
 
 DD_ZERO = "dd_zero"
@@ -159,18 +157,11 @@ class ConvergenceDetector:
     quiescence: converged once ``window`` consecutive steps moved no
     detectable energy; tau is the step of the last detectable move (0 if
     none ever happened). A move counts as detectable when its magnitude
-    exceeds ``move_tol``, which defaults to ``dd_tol`` so both detectors
-    resolve energy at the same absolute scale.
+    exceeds ``dd_tol``, so both detectors resolve energy at the same
+    absolute scale.
     """
 
-    def __init__(
-        self,
-        kind: str,
-        window: int,
-        dd_tol: float,
-        horizon: int,
-        move_tol: Optional[float] = None,
-    ):
+    def __init__(self, kind: str, window: int, dd_tol: float, horizon: int):
         if kind not in (DD_ZERO, QUIESCENCE):
             raise DomainError(f"unknown convergence kind {kind!r}")
         if window < 1:
@@ -178,95 +169,77 @@ class ConvergenceDetector:
         self.kind = kind
         self.window = window
         self.dd_tol = dd_tol
-        self.move_tol = dd_tol if move_tol is None else move_tol
         self.horizon = horizon
         self.decided = False
         self.tau = 0
         self.converged = False
         self.last_move = 0
         self.last_dd = math.inf
-        self.last_lost = 0.0
         self._tau_dd = math.nan
-        self._tau_lost = 0.0
 
-    def observe(self, step: int, dd: float, moved: float, lost: float) -> bool:
+    def observe(self, step: int, dd: float, moved: float) -> bool:
         """Feed one step; returns True once the verdict is in."""
         if self.decided:
             return True
         self.last_dd = dd
-        self.last_lost = lost
         if self.kind == DD_ZERO:
             if dd <= self.dd_tol:
                 self.decided = True
                 self.converged = True
                 self.tau = step
                 self._tau_dd = dd
-                self._tau_lost = lost
                 return True
         else:
-            if moved and abs(moved) > self.move_tol:
+            if moved and abs(moved) > self.dd_tol:
                 self.last_move = step
             elif step - self.last_move >= self.window:
                 self.decided = True
                 self.converged = True
                 self.tau = self.last_move
-                # nothing moved since tau, so current dd/lost still apply
+                # nothing moved since tau, so the current dd still applies
                 self._tau_dd = dd
-                self._tau_lost = lost
                 return True
         if step >= self.horizon:
             self.decided = True
             self.converged = False
             self.tau = self.horizon
             self._tau_dd = dd
-            self._tau_lost = lost
             return True
         return False
 
-    def force_converged(self, tau: int, dd: float, lost: float) -> None:
+    def force_converged(self, tau: int, dd: float) -> None:
         """Record a convergence verdict decided outside the stream (used for
         degenerate populations where no interaction is possible)."""
         self.decided = True
         self.converged = True
         self.tau = tau
         self._tau_dd = dd
-        self._tau_lost = lost
 
     def report(self) -> ConvergenceReport:
         if not self.decided:
             # stream ended early: treat like a budget exhaustion at the last
             # observed step
-            return ConvergenceReport(
-                tau=self.horizon,
-                dd_at_tau=self.last_dd,
-                lost_at_tau=self.last_lost,
-                converged=False,
-            )
-        return ConvergenceReport(
-            tau=self.tau,
-            dd_at_tau=self._tau_dd,
-            lost_at_tau=self._tau_lost,
-            converged=self.converged,
-        )
+            return ConvergenceReport(tau=self.horizon, dd_at_tau=self.last_dd, converged=False)
+        return ConvergenceReport(tau=self.tau, dd_at_tau=self._tau_dd, converged=self.converged)
 
 
 def detect_convergence(
     protocol: EnergyProtocol,
-    steps: Iterable[tuple[float, float, float]],
+    steps: Iterable[tuple[float, float]],
     window: int,
     dd_tol: float = 0.0,
     horizon: Optional[int] = None,
 ) -> ConvergenceReport:
     """Offline wrapper over ConvergenceDetector.
 
-    ``steps`` yields (dd, moved, lost) per step, starting at step 0 (the
-    state before any interaction).
+    ``steps`` yields (dd, moved) per step, starting at step 0 (the state
+    before any interaction).
     """
     rows = list(steps)
     if horizon is None:
         horizon = max(len(rows) - 1, 0)
     detector = ConvergenceDetector(convergence_kind(protocol), window, dd_tol, horizon)
-    for step, (dd, moved, lost) in enumerate(rows):
-        if detector.observe(step, dd, moved, lost):
+    for step, (dd, moved) in enumerate(rows):
+        if detector.observe(step, dd, moved):
             break
     return detector.report()

@@ -108,7 +108,11 @@ class LiveEnergyDriver:
     tree is complete, and the total energy."""
 
     def __init__(
-        self, protocol: EnergyProtocol, loss: LossModel, rng: random.Random, total_energy: float
+        self,
+        protocol: EnergyProtocol,
+        loss: LossModel,
+        rng: Optional[random.Random],
+        total_energy: float,
     ):
         self.protocol = protocol
         self.loss = loss
@@ -193,7 +197,6 @@ def simulate(
     *,
     formation: Optional[FormationProtocol],
     scheduler,
-    rng: Optional[random.Random] = None,
     energy_protocol: Optional[EnergyProtocol] = None,
     loss: LossModel = LossModel.lossless(),
     phase_mode: str = TWOPHASE,
@@ -202,14 +205,16 @@ def simulate(
     window: Optional[int] = None,
     metric_cadence: Optional[int] = None,
     target_basis: str = BASIS_POST_FORMATION,
-    record_trace: bool = False,
-    trace_seed: int = 0,
-    trace_config: Optional[dict] = None,
+    trace: Optional[InteractionTrace] = None,
     energy_driver=None,
     validate: bool = False,
     record_metrics: bool = True,
 ) -> SimOutcome:
-    """Run one simulation to completion (see the module docstring)."""
+    """Run one simulation to completion (see the module docstring).
+
+    Every protocol draw (exchange ratio, loss fraction) comes from the
+    scheduler's generator, right after the pair it belongs to. A ``trace``,
+    when given, receives one record per step and the final digest."""
     net = pop.network
     n = net.n
     e = pop.energy
@@ -233,12 +238,6 @@ def simulate(
         if value < 1:
             raise DomainError(f"{name} must be >= 1 (got {value})")
 
-    trace = (
-        InteractionTrace(seed=trace_seed, config=trace_config or {})
-        if record_trace
-        else None
-    )
-
     complete = is_formation_complete(net)
     stabilized = complete and estimation_stabilized(pop)
     formation_steps = 0 if complete else formation_budget
@@ -252,7 +251,9 @@ def simulate(
         basis_total = e.initial_total if target_basis == BASIS_INITIAL else e.total()
         driver = energy_driver
         if driver is None:
-            driver = LiveEnergyDriver(energy_protocol, loss, rng or random.Random(0), basis_total)
+            # scheduler is None only at n=1, where nothing is ever drawn
+            rng = None if scheduler is None else scheduler.rng
+            driver = LiveEnergyDriver(energy_protocol, loss, rng, basis_total)
         if complete:
             ideal = driver.table = compute_ideal_energies(net, basis_total)
         kind = convergence_kind(energy_protocol)
@@ -293,9 +294,9 @@ def simulate(
             dd = distribution_distance(net, e)
             samples = [MetricSample(0, dd, e.total(), e.lost)]
             if complete or kind == QUIESCENCE:
-                detector.observe(0, dd, 0.0, e.lost)
+                detector.observe(0, dd, 0.0)
             if n == 1:  # a single node: nothing can ever move
-                detector.force_converged(0, dd, e.lost)
+                detector.force_converged(0, dd)
             if can_skip and stabilized:
                 mask = _edge_mask(pop, formation, scheduler)
             continue
@@ -341,7 +342,7 @@ def simulate(
             if kind == DD_ZERO and complete and dd <= dd_tol:
                 dd = distribution_distance(net, e)  # confirm before declaring
             if complete or kind == QUIESCENCE:
-                detector.observe(s, dd, moved, e.lost)
+                detector.observe(s, dd, moved)
             if s % metric_cadence == 0:
                 dd = distribution_distance(net, e)  # resync any float drift
                 if record_metrics:
@@ -373,9 +374,7 @@ def simulate(
         outcome.basis_total = basis_total
     elif driver is not None:
         # Formation never finished; report an unconverged run.
-        outcome.report = ConvergenceReport(
-            tau=energy_budget, dd_at_tau=math.nan, lost_at_tau=e.lost, converged=False
-        )
+        outcome.report = ConvergenceReport(tau=energy_budget, dd_at_tau=math.nan, converged=False)
     if trace is not None:
         trace.final_digest = snapshot_digest(pop)
         outcome.trace = trace

@@ -1,0 +1,104 @@
+"""Fuzzing the CLI input boundary: a damaged snapshot or config must give
+exit code 0, or exit code 1 with one ``error:`` line, and never a traceback.
+
+The inputs are generated locally by Hypothesis from a valid snapshot of
+``enertree form`` and a valid experiment config, each with one field
+replaced or one parent rewired. Integers stay small so that every accepted
+input is a short run.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from enertree.cli import main as cli_main
+from enertree.harness import ExperimentConfig
+
+N = 5
+FUZZ = settings(max_examples=120, deadline=None, derandomize=True)
+
+TOKENS = st.one_of(
+    st.integers(-3, 2 * N).map(str),
+    st.floats().map(repr),
+    st.sampled_from(["S", "L", "R1", "I1", "I0", "L1", "-", "", "1e300", "1.7e308", "0x1", "1_0"]),
+    st.text("0123456789.-+eRILSnaif", min_size=1, max_size=6),
+)
+SPECS = [
+    "arbitrary", "kary:2", "kary:1", "ideal", "lambda:2", "rand", "rand:2,3", "kappa:0.5",
+    "kdepth:2", "kdepth:" + "9" * 400, "lossless", "normal:0.2,0.05", "normal:-1,0",
+    "uniform", "random", "twophase", "concurrent", "initial", "post_formation",
+]
+VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 8),
+    st.floats(),
+    st.sampled_from(SPECS),
+    st.text(max_size=6),
+    st.lists(st.integers(0, 3), max_size=2),
+)
+
+
+def _run(argv: list[str]) -> None:
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        rc = cli_main(argv)
+    err = err.getvalue()
+    assert rc == 0 or (rc == 1 and err.startswith("error: ") and err.count("\n") == 1), (rc, err)
+
+
+def _formed_rows() -> list[list[str]]:
+    with tempfile.TemporaryDirectory() as tmp:
+        snap = Path(tmp) / "snap.txt"
+        assert cli_main(["form", "--n", str(N), "--protocol", "kary:2", "--out", str(snap),
+                         "--initial-energy", "random", "--quiet"]) == 0
+        lines = snap.read_text().splitlines()
+    return [line.split() for line in lines if not line.startswith("#")]
+
+
+ROWS = _formed_rows()
+
+
+@st.composite
+def damaged_snapshots(draw) -> list[list[str]]:
+    rows = [list(row) for row in ROWS]
+    i = draw(st.integers(0, N - 1))
+    if draw(st.booleans()):
+        rows[i][draw(st.integers(0, 6))] = draw(TOKENS)
+    else:
+        rows[i][2] = str(draw(st.integers(-1, N - 1)))
+    return rows
+
+
+@FUZZ
+@given(
+    damaged_snapshots(),
+    st.sampled_from(["ideal", "lambda:2", "rand", "kappa:0.5", "kdepth:2"]),
+    st.sampled_from(["lossless", "normal:0.2,0.05"]),
+)
+def test_redistribute_survives_a_damaged_snapshot(rows, protocol, loss):
+    with tempfile.TemporaryDirectory() as tmp:
+        snap = Path(tmp) / "snap.txt"
+        snap.write_text("\n".join(" ".join(row) for row in rows) + "\n")
+        _run(["redistribute", "--snapshot", str(snap), "--energy-protocol", protocol,
+              "--loss", loss, "--out", str(Path(tmp) / "out"), "--quiet"])
+
+
+BASE = {"n": N, "repetitions": 2, "emit_traces": True, "emit_metrics": True}
+FIELDS = sorted(ExperimentConfig.__dataclass_fields__) + ["unknown"]
+
+
+@FUZZ
+@given(st.sampled_from(FIELDS), VALUES)
+def test_experiment_survives_a_damaged_config(name, value):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "cfg.json"
+        cfg.write_text(json.dumps({**BASE, name: value}))
+        _run(["experiment", "--config", str(cfg), "--out", str(Path(tmp) / "out"), "--quiet"])

@@ -62,6 +62,7 @@ def test_config_rejects_bad_loop_settings(field, value):
     {"energy_protocol": "lambda:abc"}, {"energy_protocol": "rand:3"}, {"loss": "normal:0.2"},
     {"protocol": "kary:x"}, {"energy_protocol": "kdepth:2.5"},
     {"energy_protocol": "lambda:nan"}, {"energy_protocol": "lambda:inf"}, {"loss": 5},
+    {"energy_protocol": "kdepth:" + "9" * 400},
 ])
 def test_cli_experiment_rejects_bad_loop_settings(tmp_path, capsys, setting):
     cfg = tmp_path / "cfg.json"
@@ -74,6 +75,8 @@ def test_cli_experiment_rejects_bad_loop_settings(tmp_path, capsys, setting):
 @pytest.mark.parametrize("setting", [
     {"n": 10.5}, {"n": True}, {"n": None}, {"repetitions": 1.5}, {"master_seed": 1.5},
     {"total_energy": math.nan}, {"total_energy": math.inf}, {"total_energy": True},
+    {"total_energy": 1e308},
+    {"emit_traces": "no"}, {"emit_traces": None}, {"emit_metrics": 1}, {"emit_metrics": "true"},
 ])
 def test_cli_experiment_rejects_bad_numbers(tmp_path, capsys, setting):
     cfg = tmp_path / "cfg.json"
@@ -84,21 +87,47 @@ def test_cli_experiment_rejects_bad_numbers(tmp_path, capsys, setting):
     assert next(iter(setting)) in err
 
 
+def _set(rows, i, column, value):
+    """The snapshot rows with one field replaced."""
+    rows = [list(row) for row in rows]
+    rows[i][column] = value
+    return rows
+
+
 @pytest.mark.parametrize("edit, message", [
-    (lambda rows: rows[0][:-1] + ["nan"], "finite"),
-    (lambda rows: ["1"] + rows[0][1:], "duplicate snapshot id 1"),
+    (lambda rows: _set(rows, 0, 6, "nan"), "finite"),
+    (lambda rows: _set(rows, 0, 0, "1"), "duplicate snapshot id 1"),
+    (lambda rows: _set(rows, 0, 2, "0"), "self edge"),
+    # node 0's parent becomes one of its children
+    (lambda rows: _set(rows, 0, 2, next(r[0] for r in rows if r[2] == "0")), "cycle"),
+    (lambda rows: _set(rows, 0, 6, "abc"), "malformed snapshot line"),
+    (lambda rows: _set(rows, 0, 2, "x"), "malformed snapshot line"),
+    (lambda rows: _set(rows, 0, 4, "-1"), "must lie in [0, 6)"),
+    (lambda rows: _set(rows, 0, 6, "1.7e308"), "<= 1e300"),
+    (lambda rows: _set(rows, next(i for i, r in enumerate(rows) if r[1] == "L"), 1, "R1"),
+     "has state R1 but its edges make it L"),
 ])
 def test_cli_redistribute_rejects_bad_snapshot(tmp_path, capsys, edit, message):
     snap = tmp_path / "snap.txt"
     assert cli_main(["form", "--n", "6", "--out", str(snap), "--quiet"]) == 0
     rows = [line.split() for line in snap.read_text().splitlines() if not line.startswith("#")]
-    rows[0] = edit(rows)
+    rows = edit(rows)
     snap.write_text("\n".join(" ".join(row) for row in rows) + "\n")
     rc = cli_main(["redistribute", "--snapshot", str(snap), "--energy-protocol", "lambda:2",
                    "--quiet"])
     err = capsys.readouterr().err
     assert rc == 1 and err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+
+
+@pytest.mark.parametrize("command", ["redistribute --energy-protocol lambda:2 --snapshot",
+                                     "experiment --config"])
+def test_cli_rejects_undecodable_file(tmp_path, capsys, command):
+    path = tmp_path / "input.txt"
+    path.write_bytes(b"\xff\xfe0 S -1 0 0 0 1.0\n")
+    assert cli_main(command.split() + [str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read") and err.count("\n") == 1
 
 
 def test_config_json_roundtrip(tmp_path):
@@ -163,7 +192,6 @@ def test_scripted_targeted_interaction_through_engine():
         pop,
         formation=None,
         scheduler=depthless,
-        rng=make_rng(0),
         energy_protocol=IdealTarget(),
         energy_budget=1,
         window=10,
@@ -373,14 +401,12 @@ def test_energy_budget_exhaustion_on_formed_tree():
     from enertree.energy import LambdaExchange
 
     pop = build_tree(6, DEMO_EDGES, [1000.0] * 6)
-    rng = make_rng(4)
     from enertree.scheduler import RandomScheduler
 
     outcome = simulate(
         pop,
         formation=None,
-        scheduler=RandomScheduler(rng, 6),
-        rng=rng,
+        scheduler=RandomScheduler(make_rng(4), 6),
         energy_protocol=LambdaExchange(2.0),
         energy_budget=3,
         window=10,

@@ -199,20 +199,20 @@ def test_potential_monotone_under_lossless_exchange():
 # --------------------------------------------------------------- convergence
 def test_convergence_dd_zero_stream():
     dds = [5.0] * 17 + [0.0, 0.0, 0.0]
-    stream = [(dd, 1.0, 0.0) for dd in dds]
+    stream = [(dd, 1.0) for dd in dds]
     report = detect_convergence(LambdaExchange(2.0), stream, window=10)
     assert report.converged and report.tau == 17
 
 
 def test_convergence_quiescence_stream():
     # last transfer at step 40, window 100: tau = 40
-    stream = [(1.0, 1.0 if 0 < step <= 40 else 0.0, 0.0) for step in range(200)]
+    stream = [(1.0, 1.0 if 0 < step <= 40 else 0.0) for step in range(200)]
     report = detect_convergence(IdealTarget(), stream, window=100, horizon=10_000)
     assert report.converged and report.tau == 40
 
 
 def test_convergence_budget_exhausted():
-    stream = [(5.0, 1.0, 0.0)] * 50
+    stream = [(5.0, 1.0)] * 50
     report = detect_convergence(KappaTransfer(0.5), stream, window=10, horizon=49)
     assert not report.converged
     assert report.tau == 49
@@ -220,13 +220,13 @@ def test_convergence_budget_exhausted():
 
 def test_detector_tolerance():
     detector = ConvergenceDetector("dd_zero", window=1, dd_tol=1e-5, horizon=100)
-    assert not detector.observe(0, 1.0, 0.0, 0.0)
-    assert detector.observe(1, 5e-6, 0.0, 0.0)
+    assert not detector.observe(0, 1.0, 0.0)
+    assert detector.observe(1, 5e-6, 0.0)
     assert detector.report().tau == 1
 
 
 def test_quiescence_with_no_moves_at_all():
-    stream = [(0.5, 0.0, 0.0)] * 30
+    stream = [(0.5, 0.0)] * 30
     report = detect_convergence(IdealTarget(), stream, window=20, horizon=1000)
     assert report.converged and report.tau == 0
 

@@ -17,7 +17,7 @@ from enertree.estimation import true_depths
 from enertree.formation import FormationProtocol
 from enertree.harness import ExperimentConfig, run_single
 from enertree.runner import simulate
-from enertree.scheduler import RandomScheduler, make_rng
+from enertree.scheduler import InteractionTrace, RandomScheduler, make_rng
 
 LOSSY = "normal:0.2,0.05"
 
@@ -98,10 +98,10 @@ def _stable_binary_tree(w):
 
 
 def _run_on(pop, record_trace):
-    rng = make_rng(11)
     return simulate(
-        pop, formation=FormationProtocol.kary(2), scheduler=RandomScheduler(rng, 7), rng=rng,
-        energy_protocol=LambdaExchange(2.0), metric_cadence=5, record_trace=record_trace,
+        pop, formation=FormationProtocol.kary(2), scheduler=RandomScheduler(make_rng(11), 7),
+        energy_protocol=LambdaExchange(2.0), metric_cadence=5,
+        trace=InteractionTrace(11, {}) if record_trace else None,
     )
 
 
