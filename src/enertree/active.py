@@ -1,0 +1,207 @@
+"""The active-pair mask: the oriented pairs whose interaction can change the
+state of a run with a completed tree.
+
+Every other pair is idle: its step changes no register, no edge and no
+energy, and draws nothing from the generator beyond the pair itself. So
+``RandomScheduler.skip`` may draw through those pairs and the engine runs a
+full step only on a pair in the mask. The rows are in ``skip``'s layout (row
+u, column v as ``randrange(n - 1)`` drew it) and hold, per oriented pair,
+how many rule families claim it; a nonzero entry is a stop.
+
+The families, on a completed tree:
+
+* UD (depth) and UW (merge key, k-ary only): a tree edge whose child's
+  ``d`` is not its parent's plus one, or whose child's key is not its
+  parent's. An edge-only energy protocol pins every tree edge.
+* UH (height): a pair whose ``max(h, d)`` is not already the ``h`` of both.
+  A node is keyed by its ``h`` (by itself alone while its ``d`` exceeds its
+  ``h``); two nodes with different keys are active.
+* k-ary root capture: the root and a node keyed below it that has room for
+  a child and is not the root's child. The step on such a pair raises, as
+  it does on the step path.
+* A targeted energy protocol: nodes above and below their targets, by the
+  protocols' own ``strictly_greater`` test (see ``track_targets``).
+
+After a step that changed something, ``refresh`` updates only the families
+of the two nodes involved, which is O(n). Over-approximating is safe: a stop
+at an idle pair costs one full step and never changes a byte.
+"""
+
+from __future__ import annotations
+
+from typing import Optional, Sequence
+
+from .core import Population, strictly_greater
+from .formation import KARY, FormationProtocol
+
+
+class ActivePairs:
+    __slots__ = (
+        "rows", "count", "parent", "children", "root", "d", "h", "w", "e",
+        "key", "edge_on", "pinned", "uw", "arity", "captures",
+        "targets", "one_way", "side", "above", "below", "buffers",
+    )
+
+    def __init__(
+        self,
+        pop: Population,
+        formation: Optional[FormationProtocol],
+        protocol=None,
+        draws=None,
+    ):
+        """The mask of a completed tree: formation and estimation rules,
+        plus ``protocol``'s pairs when the energy protocol is running."""
+        net = pop.network
+        n = net.n
+        self.parent = net.parent
+        self.children = net.children
+        self.root = net.roots()[0]
+        self.d, self.h, self.w = pop.d, pop.h, pop.w
+        self.e = pop.energy.per_node
+        key = self.key = [h if d <= h else -1 - x for x, (d, h) in enumerate(zip(self.d, self.h))]
+        # UH rows: nodes with one key share one row, less their own column
+        shared: dict[int, bytearray] = {}
+        self.rows = []
+        for u, ku in enumerate(key):
+            if ku not in shared:
+                shared[ku] = bytearray(ku != kv for kv in key)
+            self.rows.append(shared[ku][:u] + shared[ku][u + 1:])
+        self.count = sum(map(sum, self.rows))
+        # UW fires (and a root capture is possible) only under the k-ary rules
+        self.uw = formation is not None and formation.kind == KARY
+        self.arity = formation.k if self.uw else 0
+        self.pinned = False
+        self.targets: Optional[Sequence[Optional[float]]] = None
+        if protocol is not None:
+            protocol.mark_active(self, pop, draws)
+        self.edge_on = [False] * n
+        self.captures = [False] * n
+        for x in range(n):
+            if x != self.root:
+                self._edge(x)
+                if self.uw:
+                    self._capture(x)
+
+    # -- what energy protocols contribute -----------------------------------
+    def pin_edges(self) -> None:
+        """Keep every tree edge active, in both orientations."""
+        self.pinned = True
+
+    def track_targets(self, targets: Sequence[Optional[float]], one_way: bool) -> None:
+        """Pairs of a node strictly above its target and one strictly below
+        it: in that orientation only if ``one_way``, else in both. A node
+        whose target is None is a buffer, active with every node off its
+        target in both orientations."""
+        self.targets = targets
+        self.one_way = one_way
+        self.side = [0] * len(targets)
+        self.above: set[int] = set()
+        self.below: set[int] = set()
+        self.buffers = [x for x, z in enumerate(targets) if z is None]
+        for x in range(len(targets)):
+            self._side(x)
+
+    # -- upkeep -------------------------------------------------------------
+    def refresh(self, u: int, v: int, before: tuple, moved: float) -> None:
+        """Bring the mask up to date after a step on (u, v); ``before`` holds
+        ``d, h, w`` of u and then of v as they were before the step."""
+        d, h, w = self.d, self.h, self.w
+        du, hu, wu, dv, hv, wv = before
+        for x, dx, hx, wx in ((u, du, hu, wu), (v, dv, hv, wv)):
+            if d[x] != dx or w[x] != wx:
+                if x != self.root:
+                    self._edge(x)
+                for c in self.children[x]:
+                    self._edge(c)
+                if self.uw and w[x] != wx:
+                    self._capture(x)
+            if d[x] != dx or h[x] != hx:
+                self._rekey(x)
+        if moved and self.targets is not None:
+            self._side(u)
+            self._side(v)
+
+    def _one(self, u: int, v: int, delta: int) -> None:
+        self.rows[u][v - (v > u)] += delta
+        self.count += delta
+
+    def _pair(self, u: int, v: int, delta: int) -> None:
+        self.rows[u][v - (v > u)] += delta
+        self.rows[v][u - (u > v)] += delta
+        self.count += 2 * delta
+
+    def _edge(self, c: int) -> None:
+        p = self.parent[c]
+        on = (
+            self.pinned
+            or self.d[c] != self.d[p] + 1
+            or (self.uw and self.w[c] != self.w[p])
+        )
+        if on != self.edge_on[c]:
+            self.edge_on[c] = on
+            self._pair(p, c, 1 if on else -1)
+
+    def _capture(self, x: int) -> None:
+        r = self.root
+        on = (
+            self.w[x] < self.w[r]
+            and len(self.children[x]) < self.arity
+            and self.parent[x] != r
+        )
+        if on != self.captures[x]:
+            self.captures[x] = on
+            self._pair(r, x, 1 if on else -1)
+
+    def _rekey(self, x: int) -> None:
+        key = self.key
+        old = key[x]
+        new = self.h[x] if self.d[x] <= self.h[x] else -1 - x
+        if new == old:
+            return
+        key[x] = new
+        # Pairs with the old key become active, pairs with the new one idle
+        # (the per-pair upkeep of _pair, inlined: this loop is the hot one).
+        rows = self.rows
+        row = rows[x]
+        count = 0
+        for y, ky in enumerate(key):
+            if ky == old:
+                row[y - (y > x)] += 1
+                rows[y][x - (x > y)] += 1
+                count += 2
+            elif ky == new and y != x:
+                row[y - (y > x)] -= 1
+                rows[y][x - (x > y)] -= 1
+                count -= 2
+        self.count += count
+
+    def _side(self, x: int) -> None:
+        z = self.targets[x]
+        if z is None:
+            return
+        ex = self.e[x]
+        new = 1 if strictly_greater(ex, z) else -1 if strictly_greater(z, ex) else 0
+        old = self.side[x]
+        if new == old:
+            return
+        if old:
+            self._side_pairs(x, old, -1)
+            (self.above if old > 0 else self.below).discard(x)
+        self.side[x] = new
+        if new:
+            self._side_pairs(x, new, 1)
+            (self.above if new > 0 else self.below).add(x)
+
+    def _side_pairs(self, x: int, side: int, delta: int) -> None:
+        if self.one_way:
+            if side > 0:
+                for y in self.below:
+                    self._one(x, y, delta)
+            else:
+                for y in self.above:
+                    self._one(y, x, delta)
+        else:
+            for y in self.below if side > 0 else self.above:
+                self._pair(x, y, delta)
+        for b in self.buffers:
+            self._pair(b, x, delta)

@@ -5,7 +5,8 @@ energy protocol over a snapshot), experiment (seeded repetitions from a JSON
 config), replay (re-execute a trace and verify its digest), sweep (cartesian
 parameter grids of experiments).
 
-Exit codes: 0 success, 1 configuration/usage error, 2 replay digest mismatch.
+Exit codes: 0 success, 1 configuration/usage error or malformed input (config,
+snapshot, trace), 2 replay digest mismatch.
 """
 
 from __future__ import annotations

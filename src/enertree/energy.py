@@ -19,10 +19,13 @@ Five protocols with different knowledge requirements:
 
 Each protocol object carries its own behaviour: ``step(pop, u, v, draws)``
 applies one interaction and returns the signed amount moved (positive when
-u sent to v), and ``edge_only`` says whether it can act only on a
-parent-child pair. ``draws`` supplies what the protocol may know beyond the
-pair: the generator ``rng``, the lazily drawn loss fraction ``beta()``, the
-ideal ``table`` (None until the tree is complete) and ``total_energy``.
+u sent to v), ``mark_active(mask, pop, draws)`` tells an ``ActivePairs``
+mask which pairs it can act on once the estimates have stabilized, and
+``edge_only`` says whether it can act only on a parent-child pair (which
+decides how its runs converge). ``draws`` supplies what the protocol may
+know beyond the pair: the generator ``rng``, the lazily drawn loss fraction
+``beta()``, the ideal ``table`` (None until the tree is complete) and
+``total_energy``.
 
 Whenever x units are sent, the receiver gets (1-beta)x and beta*x is
 destroyed. All firing conditions carry a tiny relative slack
@@ -35,7 +38,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Union
+from typing import Union, get_args
 
 from .core import (
     EnergyState,
@@ -105,6 +108,9 @@ class IdealTarget:
             return 0.0  # no targets until the tree is complete
         return ideal_target_step(pop.energy, u, v, draws.table, draws.beta)
 
+    def mark_active(self, mask, pop: Population, draws) -> None:
+        mask.track_targets(draws.table.values, one_way=False)
+
 
 class _EdgeProtocol:
     """Acts only when a parent and its child interact: ``edge_step`` moves
@@ -119,6 +125,9 @@ class _EdgeProtocol:
         if parent[u] == v:
             return self.edge_step(pop.energy, v, u, draws)
         return 0.0
+
+    def mark_active(self, mask, pop: Population, draws) -> None:
+        mask.pin_edges()  # rand draws its ratio on every edge interaction
 
 
 @dataclass(frozen=True)
@@ -174,8 +183,21 @@ class DepthTarget:
     def step(self, pop: Population, u: int, v: int, draws) -> float:
         return k_depth_target_step(pop, u, v, self.k, draws.total_energy, draws.beta)
 
+    def mark_active(self, mask, pop: Population, draws) -> None:
+        # Non-root pairs pay only from u above to v below; the root buffers
+        # any node off its target (it has no target itself).
+        net = pop.network
+        mask.track_targets(
+            [
+                None if _is_root(net, x) else depth_target(pop, x, self.k, draws.total_energy)
+                for x in range(net.n)
+            ],
+            one_way=True,
+        )
+
 
 EnergyProtocol = Union[IdealTarget, LambdaExchange, RandExchange, KappaTransfer, DepthTarget]
+PROTOCOL_TAGS = frozenset(p.tag for p in get_args(EnergyProtocol))
 
 
 def parse_energy_protocol(spec: str) -> EnergyProtocol:

@@ -61,3 +61,26 @@ def estimation_stabilized(pop: Population) -> bool:
     estimate equals the tree height. Simulator-side oracle only."""
     depth, height = true_depths(pop.network)
     return pop.d == depth and all(h == height for h in pop.h)
+
+
+class UnsettledNodes:
+    """How many nodes of a completed tree hold a ``d`` or ``h`` other than
+    its final value, kept up to date one interaction at a time: 0 exactly
+    when ``estimation_stabilized`` holds. Settling is absorbing: once every
+    register is final, UD and UH only rewrite final values."""
+
+    __slots__ = ("d", "h", "depth", "height", "off", "count")
+
+    def __init__(self, pop: Population):
+        self.depth, self.height = true_depths(pop.network)
+        self.d, self.h = pop.d, pop.h
+        self.off = [d != t or h != self.height for d, h, t in zip(self.d, self.h, self.depth)]
+        self.count = sum(self.off)
+
+    def update(self, u: int, v: int) -> None:
+        """Re-check u and v after an interaction between them."""
+        for x in (u, v):
+            off = self.d[x] != self.depth[x] or self.h[x] != self.height
+            if off != self.off[x]:
+                self.off[x] = off
+                self.count += 1 if off else -1

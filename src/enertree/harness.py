@@ -14,8 +14,9 @@ import json
 import math
 import statistics
 from dataclasses import asdict, dataclass, field, fields
+from fractions import Fraction
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Sequence
 
 from .core import MAX_ENERGY, EnergyState, Population, TreeNetwork
 from .energy import EnergyProtocol, LossModel, parse_energy_protocol
@@ -279,6 +280,23 @@ AGGREGATE_FIELDS = [
 ]
 
 
+def population_stddev(values: Sequence[float]) -> float:
+    """Population standard deviation, computed exactly in fractions and
+    rounded once: the correctly rounded value, which ``statistics.pstdev``
+    gives only from CPython 3.11 on."""
+    xs = [Fraction(x) for x in values]
+    mean = sum(xs) / len(xs)
+    var = sum((x - mean) ** 2 for x in xs) / len(xs)
+    # root = floor(sqrt(var) * 2**k) with at least 55 bits, rounded to odd
+    # when inexact, so the one rounding of root / 2**k to a float is correct.
+    num, den = var.numerator, var.denominator
+    k = max(0, 56 - (num.bit_length() - den.bit_length()) // 2)
+    root = math.isqrt((num << 2 * k) // den)
+    if root * root * den != num << 2 * k:
+        root |= 1
+    return root / (1 << k)
+
+
 def aggregate_rows(rows: list[dict]) -> dict:
     """Mean and population stddev of each numeric column, plus convergence
     counts. NaNs (never-formed runs) are excluded per column."""
@@ -288,7 +306,7 @@ def aggregate_rows(rows: list[dict]) -> dict:
         if values:
             out[name] = {
                 "mean": statistics.fmean(values),
-                "stddev": statistics.pstdev(values),
+                "stddev": population_stddev(values),
             }
         else:
             out[name] = {"mean": math.nan, "stddev": math.nan}

@@ -18,14 +18,21 @@ comes from a scheduler (random or scripted from a trace) and energy moves
 come from a driver (computed live, or applied verbatim from the recorded
 amounts and loss fractions).
 
-Once the tree is complete and the estimates have stabilized, an edge-only
-protocol changes nothing on a pair that is not a tree edge: the formation
-and estimation rules are idle there and the protocol does not fire. A live
-run that records no trace then lets the random scheduler skip those pairs
-(``RandomScheduler.skip``) and runs the step only at the next event: a tree
-edge, a metric-cadence step, or the last step of the budget. The skipped
-steps leave the same state and the same generator position behind, so
-every output is unchanged.
+Once the tree is complete, most pairs are idle: their step changes no
+register, edge or energy and draws nothing. A live run that records no
+trace and validates nothing keeps the pairs that are not idle in an
+``ActivePairs`` mask, in phase A after completion and once the energy
+protocol runs on stable estimates, and lets ``RandomScheduler.skip`` draw
+through the rest. It runs a step in full only at a pair in the mask or at a
+step that decides something: a stabilization probe that will succeed, the
+metric resync of a dd that moved, the quiescence verdict, the end of a
+phase. A metric sample at a cadence step over which nothing moved is
+appended directly. Once the mask is empty nothing can change before the
+run ends, and the run jumps to its verdict without drawing (nothing reads
+the generator after ``simulate``). Everything else leaves the same state
+and the same generator position behind, so every output is unchanged.
+Traces, validation, replay and concurrent mode before stabilization keep
+the step path.
 """
 
 from __future__ import annotations
@@ -35,7 +42,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .core import Population
+from .active import ActivePairs
+from .core import EnergyState, Population
 from .energy import (
     EnergyProtocol,
     IdealEnergyTable,
@@ -44,10 +52,9 @@ from .energy import (
     sample_beta,
 )
 from .errors import DomainError, InvariantError
-from .estimation import apply_estimation_rules, estimation_stabilized
+from .estimation import UnsettledNodes, apply_estimation_rules, estimation_stabilized
 from .formation import (
     CONNECTING_RULES,
-    KARY,
     NOOP,
     FormationProtocol,
     apply_formation_rule,
@@ -167,29 +174,23 @@ class SimOutcome:
     ideal: Optional[IdealEnergyTable] = None
     basis_total: Optional[float] = None
     trace: Optional[InteractionTrace] = None
-    skipped_steps: int = 0  # idle redistribution steps the scheduler skipped
+    skipped_steps: int = 0  # idle steps skipped by the scheduler or jumped over
 
     @property
     def digest(self) -> str:
         return snapshot_digest(self.pop)
 
 
-def _edge_mask(
-    pop: Population, formation: Optional[FormationProtocol], scheduler: RandomScheduler
-) -> Optional[list[bytes]]:
-    """The tree edges, in both orientations, as a ``RandomScheduler.skip``
-    mask; None where a pair off the tree could still change the state or
-    skipping does not reproduce the sampler on this interpreter."""
-    net = pop.network
-    if formation is not None and formation.kind == KARY:
-        # A node keyed below its root would try a root capture on meeting
-        # it, which the step raises on (the tree is complete).
-        if min(pop.w) < pop.w[net.roots()[0]]:
-            return None
-    if not skip_matches_sampler():
-        return None
-    edges = [(p, c) for c, p in enumerate(net.parent) if p != -1]
-    return scheduler.pair_mask(edges + [(c, p) for p, c in edges])
+def _quiet_samples(
+    first: int, last: int, cadence: int, dd: float, energy: EnergyState
+) -> list[MetricSample]:
+    """The metric samples of the cadence steps in (first, last], over which
+    no energy moved and dd was last computed in full."""
+    start = first - first % cadence + cadence
+    if start > last:
+        return []
+    total, lost = energy.total(), energy.lost
+    return [MetricSample(c, dd, total, lost) for c in range(start, last + 1, cadence)]
 
 
 def simulate(
@@ -240,6 +241,7 @@ def simulate(
 
     complete = is_formation_complete(net)
     stabilized = complete and estimation_stabilized(pop)
+    unsettled = UnsettledNodes(pop) if complete and not stabilized else None
     formation_steps = 0 if complete else formation_budget
     stabilized_step = 0 if stabilized else None
     stab_cadence = _stabilize_cadence(n)
@@ -259,19 +261,27 @@ def simulate(
         kind = convergence_kind(energy_protocol)
         dd_tol = DD_TOL_FRACTION * basis_total
         detector = ConvergenceDetector(kind, window, dd_tol, horizon=energy_budget)
-    # Idle steps can be skipped once the tree is stable (see the module
-    # docstring); mask is the scheduler's edge filter from then on.
-    can_skip = (
+    # Traces, validation and replay keep the step path (see the module
+    # docstring); so does an interpreter where skip differs from the sampler.
+    skipping = (
         energy_driver is None
-        and energy_protocol is not None
-        and energy_protocol.edge_only
         and isinstance(scheduler, RandomScheduler)
         and trace is None
         and not validate
+        and skip_matches_sampler()
     )
-    mask = None
-    skipped = 0
 
+    def active_pairs() -> Optional[ActivePairs]:
+        # Phase A on a completed tree, or the energy protocol on stable
+        # estimates; the step path everywhere else.
+        if not (skipping and complete and stabilized == moving):
+            return None
+        if moving:
+            return ActivePairs(pop, formation, energy_protocol, driver)
+        return ActivePairs(pop, formation)
+
+    d, h, w = pop.d, pop.h, pop.w
+    skipped = 0
     # Phase A (two-phase mode only) grows the tree and settles the
     # estimates within formation_budget steps; then the energy protocol
     # joins (moving) for at most energy_budget steps, from t0 on.
@@ -280,6 +290,7 @@ def simulate(
     moving = False
     t = t0 = 0
     moved, beta = 0.0, None
+    mask = active_pairs() if in_phase_a else None
     while True:
         if moving:
             if detector.decided or t >= end:
@@ -292,45 +303,70 @@ def simulate(
             t0 = t
             end = t + energy_budget
             dd = distribution_distance(net, e)
+            dirty = False  # whether energy moved since dd was last computed in full
             samples = [MetricSample(0, dd, e.total(), e.lost)]
             if complete or kind == QUIESCENCE:
                 detector.observe(0, dd, 0.0)
             if n == 1:  # a single node: nothing can ever move
                 detector.force_converged(0, dd)
-            if can_skip and stabilized:
-                mask = _edge_mask(pop, formation, scheduler)
+            mask = active_pairs()
             continue
 
-        if mask is not None and dd > dd_tol:
-            s = t - t0
-            stop = min(s - s % metric_cadence + metric_cadence, energy_budget)
-            k, u, v = scheduler.skip(stop - s, mask)
+        if mask is not None and (not moving or kind == QUIESCENCE or dd > dd_tol):
+            # Run in full only the next pair in the mask, or the step that
+            # decides something: a stabilization probe that will succeed,
+            # the resync of a dd that moved, the quiescence verdict or the
+            # end of the phase.
+            stop = end
+            if not moving:
+                if unsettled.count == 0:
+                    stop = min(stop, t - (t - formation_steps) % stab_cadence + stab_cadence)
+            else:
+                if dirty:
+                    stop = min(stop, t - (t - t0) % metric_cadence + metric_cadence)
+                if kind == QUIESCENCE:
+                    stop = min(stop, t0 + detector.last_move + window)
+                if not dirty and not mask.count:
+                    # No step can change anything before the run ends: jump
+                    # to the verdict without drawing.
+                    if record_metrics:
+                        samples += _quiet_samples(t - t0, stop - t0, metric_cadence, dd, e)
+                    skipped += stop - t
+                    t = stop
+                    detector.observe(t - t0, dd, 0.0)
+                    continue
+            k, u, v = scheduler.skip(stop - t, mask.rows)
+            if moving and not dirty and record_metrics:
+                samples += _quiet_samples(t - t0, t + k - 1 - t0, metric_cadence, dd, e)
             skipped += k - 1
             t += k
         else:
             u, v = scheduler.next_pair()
             t += 1
+        if mask is not None:
+            before = (d[u], h[u], w[u], d[v], h[v], w[v])
         tag = apply_formation_rule(formation, pop, u, v) if formation else NOOP
         apply_estimation_rules(pop, u, v)
-        probe = False
+        probe = remask = False
         if tag in CONNECTING_RULES:
             if moving:
                 dd = distribution_distance(net, e)  # a new edge joined the sum
+                dirty = False
             if not complete and net.edge_count == n - 1 and is_formation_complete(net):
-                complete = True
+                complete = remask = True
                 formation_steps = t
+                unsettled = UnsettledNodes(pop)
                 if driver is not None:
                     ideal = driver.table = compute_ideal_energies(net, basis_total)
                 probe = not moving  # phase A probes at once
-        elif not stabilized and complete:
+        elif complete and not stabilized:
+            unsettled.update(u, v)
             # Phase A probes every stab_cadence steps counted from
             # formation_steps; later probes are aligned to the absolute step.
             probe = (t - (0 if moving else formation_steps)) % stab_cadence == 0
-        if probe and estimation_stabilized(pop):
-            stabilized = True
+        if probe and unsettled.count == 0:
+            stabilized = remask = True
             stabilized_step = t
-            if moving and can_skip:
-                mask = _edge_mask(pop, formation, scheduler)
         if moving:
             s = t - t0
             pre = incident_distance(net, e, u, v)
@@ -339,12 +375,16 @@ def simulate(
                 dd += incident_distance(net, e, u, v) - pre
                 if dd < 0.0:
                     dd = 0.0
+                dirty = True
             if kind == DD_ZERO and complete and dd <= dd_tol:
                 dd = distribution_distance(net, e)  # confirm before declaring
+                dirty = False
             if complete or kind == QUIESCENCE:
                 detector.observe(s, dd, moved)
             if s % metric_cadence == 0:
-                dd = distribution_distance(net, e)  # resync any float drift
+                if dirty:
+                    dd = distribution_distance(net, e)  # resync any float drift
+                    dirty = False
                 if record_metrics:
                     samples.append(MetricSample(s, dd, e.total(), e.lost))
             if validate:
@@ -352,6 +392,10 @@ def simulate(
                     raise InvariantError("energy conservation violated")
                 if min(e.per_node) < 0.0:
                     raise InvariantError("negative node energy")
+        if remask:
+            mask = active_pairs()
+        elif mask is not None:
+            mask.refresh(u, v, before, moved)
         if trace is not None:
             rule = tag if tag != NOOP or not moved else energy_protocol.tag
             trace.append(TraceRecord(t - 1, u, v, rule, moved or None, beta))

@@ -12,16 +12,23 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
+from .energy import BETA_CAP, PROTOCOL_TAGS
 from .errors import DomainError
+from .formation import CONNECTING_RULES, NOOP, UW
 
 PRNG_NAME = "python-random-mt19937"
 
 TRACE_MAGIC = "# enertree-trace v1"
+
+# What a trace record's rule field may hold: a formation rule, or the tag of
+# the energy protocol that moved energy.
+RULE_TAGS = CONNECTING_RULES | {UW, NOOP} | PROTOCOL_TAGS
 
 
 def derive_run_seed(master_seed: int, run_index: int) -> int:
@@ -169,18 +176,30 @@ class TraceRecord:
 
     @staticmethod
     def parse(line: str) -> "TraceRecord":
+        """One record line; DomainError unless it has six fields: integers
+        for the step and the pair, a known rule tag, and ``-`` or a finite
+        amount moved and ``-`` or a loss fraction in [0, BETA_CAP]."""
         parts = line.split()
-        if len(parts) != 6:
+        try:
+            step, u, v, rule, moved, beta = parts
+            record = TraceRecord(
+                step=int(step),
+                u=int(u),
+                v=int(v),
+                rule=rule,
+                moved=None if moved == "-" else float(moved),
+                beta=None if beta == "-" else float(beta),
+            )
+        except ValueError:
+            record = None
+        if (
+            record is None
+            or rule not in RULE_TAGS
+            or not (record.moved is None or math.isfinite(record.moved))
+            or not (record.beta is None or 0.0 <= record.beta <= BETA_CAP)
+        ):
             raise DomainError(f"malformed trace record: {line!r}")
-        step, u, v, rule, moved, beta = parts
-        return TraceRecord(
-            step=int(step),
-            u=int(u),
-            v=int(v),
-            rule=rule,
-            moved=None if moved == "-" else float(moved),
-            beta=None if beta == "-" else float(beta),
-        )
+        return record
 
 
 @dataclass
@@ -213,38 +232,46 @@ def write_trace(trace: InteractionTrace, path: "str | Path") -> None:
 
 
 def read_trace(source: "str | Path | Iterable[str]") -> InteractionTrace:
+    """Parse a trace as ``write_trace`` writes it. DomainError on anything
+    else: text that is not ASCII, a missing or repeated header line, a seed
+    that is not an integer, a config that is not a JSON object with an
+    integer ``n``, a malformed record (see ``TraceRecord.parse``), steps
+    that are not consecutive from 0, or a pair outside [0, n) or of one
+    node."""
     if isinstance(source, (str, Path)):
         try:
             lines = Path(source).read_text(encoding="ascii").splitlines()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise DomainError(f"cannot read trace {source}: {exc}") from exc
     else:
         lines = list(source)
     if not lines or lines[0].strip() != TRACE_MAGIC:
         raise DomainError("not an enertree trace file")
-    seed = None
-    config = None
-    digest = None
-    records = []
+    header: dict[str, str] = {}
+    trace = InteractionTrace(seed=0, config={})
     for line in lines[1:]:
         line = line.strip()
-        if not line:
+        if not line.startswith("#"):
+            if line:
+                trace.append(TraceRecord.parse(line))
             continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if body.startswith("seed="):
-                seed = int(body[5:])
-            elif body.startswith("config="):
-                config = json.loads(body[7:])
-            elif body.startswith("digest="):
-                digest = body[7:]
-                if digest == "-":
-                    digest = None
-            continue
-        records.append(TraceRecord.parse(line))
-    if seed is None or config is None:
+        key, _, value = line[1:].strip().partition("=")
+        if key not in ("seed", "config", "digest") or key in header or trace.records:
+            raise DomainError(f"unexpected trace header line: {line!r}")
+        header[key] = value
+    if "seed" not in header or "config" not in header:
         raise DomainError("trace file missing seed or config header")
-    trace = InteractionTrace(seed=seed, config=config, final_digest=digest)
-    for rec in records:
-        trace.append(rec)
+    try:
+        trace.seed = int(header["seed"])
+        trace.config = json.loads(header["config"])
+    except ValueError as exc:  # json.JSONDecodeError is a ValueError
+        raise DomainError(f"malformed trace header: {exc}") from exc
+    n = trace.config.get("n") if isinstance(trace.config, dict) else None
+    if type(n) is not int:
+        raise DomainError("trace config must be a JSON object with an integer n")
+    for rec in trace.records:
+        if not (0 <= rec.u < n and 0 <= rec.v < n) or rec.u == rec.v:
+            raise DomainError(f"trace step {rec.step}: invalid pair ({rec.u}, {rec.v}) for n={n}")
+    digest = header.get("digest", "-")
+    trace.final_digest = None if digest == "-" else digest
     return trace

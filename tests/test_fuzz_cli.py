@@ -1,10 +1,12 @@
 """Fuzzing the CLI input boundary: a damaged snapshot or config must give
-exit code 0, or exit code 1 with one ``error:`` line, and never a traceback.
+exit code 0, or exit code 1 with one ``error:`` line, and never a traceback;
+a damaged trace may also give exit code 2 with one ``replay mismatch:``
+line.
 
 The inputs are generated locally by Hypothesis from a valid snapshot of
-``enertree form`` and a valid experiment config, each with one field
-replaced or one parent rewired. Integers stay small so that every accepted
-input is a short run.
+``enertree form``, a valid experiment config and real ``trace.txt`` files,
+each with one field, token or line replaced or one parent rewired. Integers
+stay small so that every accepted input is a short run.
 """
 
 from __future__ import annotations
@@ -46,12 +48,17 @@ VALUES = st.one_of(
 )
 
 
-def _run(argv: list[str]) -> None:
+def _run(argv: list[str], mismatch_ok: bool = False) -> None:
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
         rc = cli_main(argv)
     err = err.getvalue()
-    assert rc == 0 or (rc == 1 and err.startswith("error: ") and err.count("\n") == 1), (rc, err)
+    one_line = err.count("\n") == 1
+    assert (
+        rc == 0
+        or (rc == 1 and err.startswith("error: ") and one_line)
+        or (mismatch_ok and rc == 2 and err.startswith("replay mismatch: ") and one_line)
+    ), (rc, err)
 
 
 def _formed_rows() -> list[list[str]]:
@@ -102,3 +109,45 @@ def test_experiment_survives_a_damaged_config(name, value):
         cfg = Path(tmp) / "cfg.json"
         cfg.write_text(json.dumps({**BASE, name: value}))
         _run(["experiment", "--config", str(cfg), "--out", str(Path(tmp) / "out"), "--quiet"])
+
+
+def _traces() -> list[list[str]]:
+    traces = []
+    for protocol, loss in (("lambda:2", "lossless"), ("ideal", "normal:0.2,0.05")):
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "cfg.json"
+            cfg.write_text(json.dumps({**BASE, "repetitions": 1, "energy_protocol": protocol,
+                                       "loss": loss, "initial_energy": "random"}))
+            assert cli_main(["experiment", "--config", str(cfg), "--out", tmp, "--quiet"]) == 0
+            traces.append((Path(tmp) / "run_0" / "trace.txt").read_text().splitlines())
+    return traces
+
+
+TRACES = _traces()
+TRACE_TOKENS = st.one_of(
+    TOKENS,
+    st.sampled_from(["SS", "UW", "NOOP", "LAMBDA", "IDEAL", "BOGUS", "nan", "inf", "-0.5", "1.0",
+                     "{", "}", '"n":', "#", "seed=abc", "config={bad", "\u00e9", "\u221e"]),
+)
+
+
+@st.composite
+def damaged_traces(draw) -> str:
+    lines = list(draw(st.sampled_from(TRACES)))
+    i = draw(st.integers(0, len(lines) - 1))
+    if draw(st.booleans()):
+        tokens = lines[i].split(" ")
+        tokens[draw(st.integers(0, len(tokens) - 1))] = draw(TRACE_TOKENS)
+        lines[i] = " ".join(tokens)
+    else:
+        lines[i] = draw(st.text(max_size=20) | st.sampled_from(lines))
+    return "\n".join(lines) + "\n"
+
+
+@FUZZ
+@given(damaged_traces())
+def test_replay_survives_a_damaged_trace(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.txt"
+        path.write_bytes(text.encode("utf-8", "surrogatepass"))
+        _run(["replay", "--trace", str(path), "--quiet"], mismatch_ok=True)

@@ -1,8 +1,12 @@
 import json
 import math
 import statistics
+import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from enertree.cli import main as cli_main
 from enertree.energy import IdealTarget
@@ -10,6 +14,7 @@ from enertree.errors import ConfigError, ReplayMismatch
 from enertree.formation import load_snapshot
 from enertree.harness import (
     ExperimentConfig,
+    population_stddev,
     read_runs_csv,
     replay_trace,
     run_experiment,
@@ -251,6 +256,35 @@ def test_experiment_aggregate_matches_rows(tmp_path):
     assert stored["aggregate"]["converged_count"] == sum(r["converged"] for r in rows)
 
 
+def test_population_stddev_hand_checked():
+    assert population_stddev([5.0]) == 0.0
+    assert population_stddev([2, 4, 4, 4, 5, 5, 7, 9]) == 2.0
+    assert population_stddev([1, 2, 3, 4]) == math.sqrt(1.25)  # 1.25 is exact
+    # The variance is 494/9; statistics.pstdev on CPython 3.10 gives
+    # 7.408703590297622, one ulp below the correctly rounded sqrt(494)/3.
+    assert population_stddev([28, 10, 21]) == 7.408703590297623
+
+
+NUMBERS = st.one_of(
+    st.integers(0, 10**7),
+    st.floats(0.0, 1e6),
+    st.floats(1e-300, 1e300, allow_subnormal=False),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(NUMBERS, min_size=1, max_size=12))
+def test_population_stddev_is_correctly_rounded(values):
+    r = population_stddev(values)
+    xs = [Fraction(x) for x in values]
+    mean = sum(xs) / len(xs)
+    var = sum((x - mean) ** 2 for x in xs) / len(xs)
+    half_ulp = Fraction(math.ulp(r)) / 2
+    assert max(Fraction(r) - half_ulp, 0) ** 2 <= var <= (Fraction(r) + half_ulp) ** 2
+    if sys.version_info >= (3, 11):  # pstdev is correctly rounded from 3.11 on
+        assert r == statistics.pstdev(values)
+
+
 def test_experiment_single_repetition_equals_row():
     config = ExperimentConfig(n=5, energy_protocol="kappa:0.5", repetitions=1)
     summary = run_experiment(config)
@@ -360,6 +394,42 @@ def test_cli_replay_exit_codes(tmp_path):
             break
     path.write_text("\n".join(text) + "\n")
     assert cli_main(["replay", "--trace", str(path), "--quiet"]) == 2
+
+
+def _record(lines, field, value, moved=False):
+    """lines with one field of the first record (that moved energy) set."""
+    i = next(i for i, line in enumerate(lines)
+             if not line.startswith("#") and (not moved or line.split()[4] != "-"))
+    parts = lines[i].split()
+    parts[field] = value if not callable(value) else value(parts)
+    return lines[:i] + [" ".join(parts)] + lines[i + 1:]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda lines: lines[:4] + [lines[4] + " \u00e9"] + lines[5:], "cannot read trace"),
+    (lambda lines: [lines[0], "# seed=abc"] + lines[2:], "malformed trace header"),
+    (lambda lines: lines[:2] + ["# config={bad"] + lines[3:], "malformed trace header"),
+    (lambda lines: lines[:2] + ["# config=[6]"] + lines[3:], "integer n"),
+    (lambda lines: lines[:1] + lines[2:], "missing seed or config"),
+    (lambda lines: lines[:4] + ["# seed=1"] + lines[4:], "unexpected trace header line"),
+    (lambda lines: _record(lines, 4, "x", moved=True), "malformed trace record"),
+    (lambda lines: _record(lines, 4, "inf", moved=True), "malformed trace record"),
+    (lambda lines: _record(lines, 5, "1.5", moved=True), "malformed trace record"),
+    (lambda lines: _record(lines, 3, "BOGUS"), "malformed trace record"),
+    (lambda lines: _record(lines, 1, "6"), "invalid pair"),
+    (lambda lines: _record(lines, 2, lambda parts: parts[1]), "invalid pair"),
+    (lambda lines: lines[:5] + lines[6:], "consecutive"),
+])
+def test_cli_replay_rejects_malformed_trace(tmp_path, capsys, edit, message):
+    cfg = ExperimentConfig(n=6, energy_protocol="ideal", loss="normal:0.2,0.05", master_seed=4)
+    path = tmp_path / "trace.txt"
+    write_trace(run_single(cfg, 0, record_trace=True).outcome.trace, path)
+    lines = edit(path.read_text().splitlines())
+    path.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+    assert cli_main(["replay", "--trace", str(path), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
 
 
 def test_cli_rejects_unknown_flags(capsys):

@@ -1,4 +1,4 @@
-"""Idle-step skipping in the redistribution loop gives the outputs of the
+"""Idle-step skipping through the active-pair mask gives the outputs of the
 step-by-step loop.
 
 Recording a trace keeps every step on the step-by-step path, so each case
@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 from enertree.core import EnergyState, Population, TreeNetwork
-from enertree.energy import LambdaExchange
+from enertree.energy import IdealTarget, LambdaExchange
 from enertree.errors import InvariantError
 from enertree.estimation import true_depths
 from enertree.formation import FormationProtocol
@@ -57,10 +57,9 @@ def test_skipping_matches_step_path_concurrent(protocol):
 def test_skipping_matches_step_path_at_each_cadence(cadence):
     config = ExperimentConfig(n=13, energy_protocol="lambda:2", loss=LOSSY, metric_cadence=cadence)
     outcomes = assert_same_as_step_path(config)
-    if cadence > 1:
-        assert all(o.skipped_steps > 0 for o in outcomes)
-    else:
-        assert all(o.skipped_steps == 0 for o in outcomes)  # every step is an event
+    # A cadence step stops a skip only when energy moved since the last
+    # full dd, so even cadence 1 skips.
+    assert all(o.skipped_steps > 0 for o in outcomes)
 
 
 def test_budget_ending_inside_a_skip():
@@ -81,10 +80,23 @@ def test_most_redistribution_steps_are_skipped():
 
 
 @pytest.mark.parametrize("protocol", ["ideal", "kdepth:2"])
-def test_targeted_protocols_are_not_skipped(protocol):
-    # Targeted protocols act on any pair, not just on tree edges.
-    config = ExperimentConfig(n=12, energy_protocol=protocol)
-    assert run_single(config, 0).outcome.skipped_steps == 0
+@pytest.mark.parametrize("loss", ["lossless", LOSSY])
+def test_targeted_protocols_skip(protocol, loss):
+    # Targeted protocols act on (above, below) pairs; once none is left the
+    # run jumps to the quiescence verdict.
+    config = ExperimentConfig(n=12, energy_protocol=protocol, loss=loss, metric_cadence=5)
+    for outcome in assert_same_as_step_path(config):
+        assert outcome.report.converged
+        redistribution = outcome.total_steps - outcome.formation_steps - outcome.estimation_steps
+        assert outcome.skipped_steps > 0.8 * redistribution
+
+
+def test_phase_a_after_completion_is_skipped():
+    # No energy protocol: only formation and estimation run.
+    config = ExperimentConfig(n=30, energy_protocol=None)
+    (outcome,) = assert_same_as_step_path(config, runs=1)
+    assert outcome.stabilized
+    assert outcome.skipped_steps > 0.5 * outcome.estimation_steps
 
 
 def _stable_binary_tree(w):
@@ -97,21 +109,42 @@ def _stable_binary_tree(w):
     return Population(net, energy, w=w, d=depth, h=[height] * 7, fresh=False)
 
 
-def _run_on(pop, record_trace):
+def _run_on(pop, record_trace, scheduler=None):
     return simulate(
-        pop, formation=FormationProtocol.kary(2), scheduler=RandomScheduler(make_rng(11), 7),
+        pop, formation=FormationProtocol.kary(2),
+        scheduler=scheduler or RandomScheduler(make_rng(11), 7),
         energy_protocol=LambdaExchange(2.0), metric_cadence=5,
         trace=InteractionTrace(11, {}) if record_trace else None,
     )
 
 
-def test_broken_merge_keys_keep_the_step_path():
+def test_broken_merge_keys_raise_at_the_same_pair():
     # The leaves are keyed below the root, so a leaf meeting the root tries
-    # to capture it and the step raises; a skip over that pair would hide
-    # the fault.
+    # to capture it and the step raises; the mask holds those root pairs, so
+    # the skipping run raises after drawing the same pairs.
+    states = []
     for record_trace in (False, True):
+        scheduler = RandomScheduler(make_rng(11), 7)
         with pytest.raises(InvariantError):
-            _run_on(_stable_binary_tree([3, 3, 3, 0, 0, 0, 0]), record_trace)
+            _run_on(_stable_binary_tree([3, 3, 3, 0, 0, 0, 0]), record_trace, scheduler)
+        states.append(scheduler.rng.getstate())
+    assert states[0] == states[1]
+
+
+def test_stale_merge_keys_skip():
+    # Keys above the root's are stale, not broken: UW copies them down the
+    # tree edge by edge while the targeted protocol moves energy elsewhere.
+    def run(record_trace):
+        return simulate(
+            _stable_binary_tree([0, 5, 6, 4, 3, 2, 1]), formation=FormationProtocol.kary(2),
+            scheduler=RandomScheduler(make_rng(5), 7), energy_protocol=IdealTarget(),
+            window=40, metric_cadence=3, trace=InteractionTrace(5, {}) if record_trace else None,
+        )
+
+    fast, step = run(False), run(True)
+    assert fast.skipped_steps > 0
+    assert fast.pop.w == step.pop.w == [0] * 7
+    assert (fast.digest, fast.samples, fast.report) == (step.digest, step.samples, step.report)
 
 
 def test_diffused_merge_keys_skip():
