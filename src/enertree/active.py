@@ -20,7 +20,8 @@ The families, on a completed tree:
   a child and is not the root's child. The step on such a pair raises, as
   it does on the step path.
 * A targeted energy protocol: nodes above and below their targets, by the
-  protocols' own ``strictly_greater`` test (see ``track_targets``).
+  protocols' own ``strictly_greater`` test, and a buffer node while it
+  holds energy (see ``track_targets``).
 
 After a step that changed something, ``refresh`` updates only the families
 of the two nodes involved, which is O(n). Over-approximating is safe: a stop
@@ -90,14 +91,15 @@ class ActivePairs:
     def track_targets(self, targets: Sequence[Optional[float]], one_way: bool) -> None:
         """Pairs of a node strictly above its target and one strictly below
         it: in that orientation only if ``one_way``, else in both. A node
-        whose target is None is a buffer, active with every node off its
-        target in both orientations."""
+        whose target is None is a buffer: while it holds energy it is active
+        with every node off its target, in both orientations (what a buffer
+        pays or absorbs is capped by its own energy)."""
         self.targets = targets
         self.one_way = one_way
         self.side = [0] * len(targets)
         self.above: set[int] = set()
         self.below: set[int] = set()
-        self.buffers = [x for x, z in enumerate(targets) if z is None]
+        self.buffers: list[int] = []  # the buffers holding energy
         for x in range(len(targets)):
             self._side(x)
 
@@ -178,6 +180,7 @@ class ActivePairs:
     def _side(self, x: int) -> None:
         z = self.targets[x]
         if z is None:
+            self._buffer(x)
             return
         ex = self.e[x]
         new = 1 if strictly_greater(ex, z) else -1 if strictly_greater(z, ex) else 0
@@ -205,3 +208,15 @@ class ActivePairs:
                 self._pair(x, y, delta)
         for b in self.buffers:
             self._pair(b, x, delta)
+
+    def _buffer(self, b: int) -> None:
+        on = self.e[b] > 0.0
+        if on == (b in self.buffers):
+            return
+        delta = 1 if on else -1
+        for y in self.above | self.below:
+            self._pair(b, y, delta)
+        if on:
+            self.buffers.append(b)
+        else:
+            self.buffers.remove(b)

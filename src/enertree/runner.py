@@ -19,20 +19,27 @@ come from a driver (computed live, or applied verbatim from the recorded
 amounts and loss fractions).
 
 Once the tree is complete, most pairs are idle: their step changes no
-register, edge or energy and draws nothing. A live run that records no
-trace and validates nothing keeps the pairs that are not idle in an
-``ActivePairs`` mask, in phase A after completion and once the energy
-protocol runs on stable estimates, and lets ``RandomScheduler.skip`` draw
-through the rest. It runs a step in full only at a pair in the mask or at a
-step that decides something: a stabilization probe that will succeed, the
-metric resync of a dd that moved, the quiescence verdict, the end of a
-phase. A metric sample at a cadence step over which nothing moved is
-appended directly. Once the mask is empty nothing can change before the
-run ends, and the run jumps to its verdict without drawing (nothing reads
-the generator after ``simulate``). Everything else leaves the same state
-and the same generator position behind, so every output is unchanged.
-Traces, validation, replay and concurrent mode before stabilization keep
-the step path.
+register, edge or energy and draws nothing. A run that validates nothing
+keeps the pairs that are not idle in an ``ActivePairs`` mask, in phase A
+after completion and once the energy protocol runs on stable estimates, and
+lets the scheduler's ``skip`` draw through the rest. It runs a step in full
+only at a pair in the mask or at a step that decides something: a
+stabilization probe that will succeed, the metric resync of a dd that
+moved, the quiescence verdict, the end of a phase. A metric sample at a
+cadence step over which nothing moved is appended directly. Everything else
+leaves the same state and the same generator position behind, so every
+output is unchanged.
+
+A traced run records each skipped step as the step path would: the pair,
+``UW`` on a tree edge under the k-ary rules (else ``NOOP``), and no move.
+A replay masks only the formation and estimation rules and also stops at
+each step whose record moved energy, so recorded moves are applied
+verbatim, whatever the trace holds. Once the mask is empty nothing can
+change before the run ends; a live run that records no trace then jumps to
+its verdict without drawing (nothing reads the generator after
+``simulate``), while a traced run or a replay passes over the same pairs.
+Validation, concurrent mode before stabilization, and an interpreter where
+``RandomScheduler.skip`` differs from the sampler keep the step path.
 """
 
 from __future__ import annotations
@@ -40,6 +47,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Optional, Sequence
 
 from .active import ActivePairs
@@ -55,7 +63,9 @@ from .errors import DomainError, InvariantError
 from .estimation import UnsettledNodes, apply_estimation_rules, estimation_stabilized
 from .formation import (
     CONNECTING_RULES,
+    KARY,
     NOOP,
+    UW,
     FormationProtocol,
     apply_formation_rule,
     is_formation_complete,
@@ -74,6 +84,7 @@ from .metrics import (
 from .scheduler import (
     InteractionTrace,
     RandomScheduler,
+    ScriptedScheduler,
     TraceRecord,
     skip_matches_sampler,
 )
@@ -145,6 +156,18 @@ class RecordedEnergyDriver:
 
     def __init__(self, records: Sequence[TraceRecord]):
         self.records = records
+        # The steps whose record moved energy, and the past-the-end step.
+        self.moves = [i for i, rec in enumerate(records) if rec.moved] + [len(records)]
+        self.cursor = 0
+
+    def next_move(self, t: int) -> int:
+        """The step count once the first recorded move at or after step
+        ``t`` has run (one past the script when none is left)."""
+        moves, i = self.moves, self.cursor
+        while moves[i] < t:
+            i += 1
+        self.cursor = i
+        return moves[i] + 1
 
     def move(self, pop: Population, u: int, v: int, step: int) -> tuple[float, Optional[float]]:
         rec = self.records[step]
@@ -253,30 +276,31 @@ def simulate(
         basis_total = e.initial_total if target_basis == BASIS_INITIAL else e.total()
         driver = energy_driver
         if driver is None:
-            # scheduler is None only at n=1, where nothing is ever drawn
-            rng = None if scheduler is None else scheduler.rng
+            # No generator at n=1 (no scheduler) or behind a scripted
+            # scheduler: the protocol may then draw nothing
+            rng = getattr(scheduler, "rng", None)
             driver = LiveEnergyDriver(energy_protocol, loss, rng, basis_total)
         if complete:
             ideal = driver.table = compute_ideal_energies(net, basis_total)
         kind = convergence_kind(energy_protocol)
         dd_tol = DD_TOL_FRACTION * basis_total
         detector = ConvergenceDetector(kind, window, dd_tol, horizon=energy_budget)
-    # Traces, validation and replay keep the step path (see the module
-    # docstring); so does an interpreter where skip differs from the sampler.
-    skipping = (
-        energy_driver is None
-        and isinstance(scheduler, RandomScheduler)
-        and trace is None
-        and not validate
-        and skip_matches_sampler()
+    # Live runs and replays skip (see the module docstring).
+    replaying = isinstance(energy_driver, RecordedEnergyDriver)
+    skipping = not validate and (
+        isinstance(scheduler, RandomScheduler) and energy_driver is None and skip_matches_sampler()
+        or isinstance(scheduler, ScriptedScheduler) and replaying
     )
+    drawn: Optional[list] = None if trace is None else []
+    uw_edges = formation is not None and formation.kind == KARY
+    parent = net.parent
 
     def active_pairs() -> Optional[ActivePairs]:
         # Phase A on a completed tree, or the energy protocol on stable
         # estimates; the step path everywhere else.
         if not (skipping and complete and stabilized == moving):
             return None
-        if moving:
+        if moving and not replaying:
             return ActivePairs(pop, formation, energy_protocol, driver)
         return ActivePairs(pop, formation)
 
@@ -326,18 +350,30 @@ def simulate(
                     stop = min(stop, t - (t - t0) % metric_cadence + metric_cadence)
                 if kind == QUIESCENCE:
                     stop = min(stop, t0 + detector.last_move + window)
-                if not dirty and not mask.count:
+                if replaying:
+                    stop = min(stop, driver.next_move(t))
+                elif trace is None and not dirty and not mask.count:
                     # No step can change anything before the run ends: jump
-                    # to the verdict without drawing.
+                    # to the verdict without drawing (a traced run records
+                    # every pair, so it skips to the verdict instead).
                     if record_metrics:
                         samples += _quiet_samples(t - t0, stop - t0, metric_cadence, dd, e)
                     skipped += stop - t
                     t = stop
                     detector.observe(t - t0, dd, 0.0)
                     continue
-            k, u, v = scheduler.skip(stop - t, mask.rows)
+            k, u, v = scheduler.skip(stop - t, mask.rows, drawn)
             if moving and not dirty and record_metrics:
                 samples += _quiet_samples(t - t0, t + k - 1 - t0, metric_cadence, dd, e)
+            if drawn:
+                # Record the idle steps as the step path would.
+                rules = (
+                    [UW if parent[x] == y or parent[y] == x else NOOP for x, y in drawn]
+                    if uw_edges
+                    else repeat(NOOP)
+                )
+                trace.extend_idle(drawn, rules)
+                drawn.clear()
             skipped += k - 1
             t += k
         else:

@@ -15,8 +15,9 @@ import json
 import math
 import random
 from dataclasses import dataclass, field
+from itertools import count, repeat
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .energy import BETA_CAP, PROTOCOL_TAGS
 from .errors import DomainError
@@ -82,9 +83,14 @@ class RandomScheduler:
             rows[u][v - (v > u)] = 1
         return [bytes(row) for row in rows]
 
-    def skip(self, limit: int, mask: Sequence[bytes]) -> tuple[int, int, int]:
+    def skip(
+        self, limit: int, mask: Sequence[bytes], drawn: Optional[list] = None
+    ) -> tuple[int, int, int]:
         """Draw pairs until one is in ``mask`` (from ``pair_mask``) or until
-        the ``limit``-th; returns how many were drawn and the last pair."""
+        the ``limit``-th; returns how many were drawn and the last pair.
+        With ``drawn``, every pair drawn before the last is appended to it."""
+        if drawn is not None:
+            return self._skip_recording(limit, mask, drawn)
         n = self.n
         m = n - 1
         ku = n.bit_length()
@@ -101,12 +107,33 @@ class RandomScheduler:
                 break
         return k, u, v + (v >= u)
 
+    def _skip_recording(self, limit: int, mask: Sequence[bytes], drawn: list) -> tuple[int, int, int]:
+        # The loop of ``skip``, handing back the pairs it passes over.
+        n = self.n
+        m = n - 1
+        ku = n.bit_length()
+        kv = m.bit_length()
+        bits = self.rng.getrandbits
+        append = drawn.append
+        for k in range(1, limit + 1):
+            u = bits(ku)
+            while u >= n:
+                u = bits(ku)
+            v = bits(kv)
+            while v >= m:
+                v = bits(kv)
+            if mask[u][v] or k == limit:
+                break
+            append((u, v + (v >= u)))
+        return k, u, v + (v >= u)
+
 
 @functools.cache
 def skip_matches_sampler() -> bool:
     """Whether ``RandomScheduler.skip`` reproduces ``sample_pair`` on this
     interpreter, checked once per process on throwaway generators: pair by
-    pair, over long skips, and in the generator state they leave."""
+    pair, over long skips, in the pairs a recording skip hands back, and in
+    the generator state they leave."""
     return all(_skip_agrees(n) for n in (2, 3, 16, 30, 257))
 
 
@@ -114,51 +141,61 @@ def _skip_agrees(n: int) -> bool:
     fast, slow = random.Random(n), random.Random(n)
     scheduler = RandomScheduler(fast, n)
     none = scheduler.pair_mask([])
-    for limit in [1] * 100 + [64, 300]:
-        _, u, v = scheduler.skip(limit, none)
-        for _ in range(limit):
-            pair = sample_pair(slow, n)
-        if (u, v) != pair:
-            return False
+    for drawn in (None, []):
+        for limit in [1] * 100 + [64, 300]:
+            _, u, v = scheduler.skip(limit, none, drawn)
+            pairs = [sample_pair(slow, n) for _ in range(limit)]
+            if (u, v) != pairs[-1] or drawn is not None and drawn != pairs[:-1]:
+                return False
+            if drawn is not None:
+                drawn.clear()
     return fast.getstate() == slow.getstate()
 
 
 class ScriptedScheduler:
-    """Yields a fixed pair sequence, then falls back to uniform sampling.
+    """Yields a fixed pair sequence and raises DomainError past its end.
 
     Pair orientation is taken verbatim from the script, standing in for the
     "either may become the parent" choices of the random scheduler.
     """
 
-    __slots__ = ("pairs", "pos", "n", "rng")
+    __slots__ = ("pairs", "pos")
 
-    def __init__(
-        self,
-        pairs: Sequence[tuple[int, int]],
-        n: Optional[int] = None,
-        rng: Optional[random.Random] = None,
-    ):
-        if n is not None:
-            for u, v in pairs:
-                if not (0 <= u < n and 0 <= v < n) or u == v:
-                    raise DomainError(f"invalid scripted pair ({u}, {v})")
+    def __init__(self, pairs: Sequence[tuple[int, int]]):
         self.pairs = list(pairs)
         self.pos = 0
-        self.n = n
-        self.rng = rng
 
     def next_pair(self) -> tuple[int, int]:
-        if self.pos < len(self.pairs):
-            pair = self.pairs[self.pos]
-            self.pos += 1
-            return pair
-        if self.rng is None or self.n is None:
-            raise DomainError("scripted scheduler exhausted and no fallback rng")
-        return sample_pair(self.rng, self.n)
+        if self.pos >= len(self.pairs):
+            raise DomainError("scripted scheduler exhausted")
+        pair = self.pairs[self.pos]
+        self.pos += 1
+        return pair
+
+    def skip(
+        self, limit: int, mask: Sequence[bytes], drawn: Optional[list] = None
+    ) -> tuple[int, int, int]:
+        """``RandomScheduler.skip`` over the script: the next pair in
+        ``mask`` or the ``limit``-th, whichever comes first. DomainError if
+        the script ends before either."""
+        pairs = self.pairs
+        start = self.pos
+        for i in range(start, min(start + limit, len(pairs))):
+            u, v = pairs[i]
+            if mask[u][v - (v > u)]:
+                break
+        else:
+            i = start + limit - 1
+            if i >= len(pairs):
+                raise DomainError("scripted scheduler exhausted")
+            u, v = pairs[i]
+        if drawn is not None:
+            drawn.extend(pairs[start:i])
+        self.pos = i + 1
+        return i + 1 - start, u, v
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
     """One scheduler step: the oriented pair, the rule that fired, and the
     energy moved (signed: positive = u sent to v) with its loss fraction."""
 
@@ -179,27 +216,26 @@ class TraceRecord:
         """One record line; DomainError unless it has six fields: integers
         for the step and the pair, a known rule tag, and ``-`` or a finite
         amount moved and ``-`` or a loss fraction in [0, BETA_CAP]."""
-        parts = line.split()
         try:
-            step, u, v, rule, moved, beta = parts
-            record = TraceRecord(
-                step=int(step),
-                u=int(u),
-                v=int(v),
-                rule=rule,
-                moved=None if moved == "-" else float(moved),
-                beta=None if beta == "-" else float(beta),
-            )
+            step, u, v, rule, moved, beta = line.split()
+            moved = None if moved == "-" else float(moved)
+            beta = None if beta == "-" else float(beta)
+            record = _record((int(step), int(u), int(v), rule, moved, beta))
         except ValueError:
             record = None
         if (
             record is None
             or rule not in RULE_TAGS
-            or not (record.moved is None or math.isfinite(record.moved))
-            or not (record.beta is None or 0.0 <= record.beta <= BETA_CAP)
+            or not (moved is None or math.isfinite(moved))
+            or not (beta is None or 0.0 <= beta <= BETA_CAP)
         ):
             raise DomainError(f"malformed trace record: {line!r}")
         return record
+
+
+# Builds a TraceRecord from a tuple of all six fields, without the Python
+# level __new__ of a NamedTuple: the hot path of recording and parsing.
+_record = functools.partial(tuple.__new__, TraceRecord)
 
 
 @dataclass
@@ -216,6 +252,14 @@ class InteractionTrace:
             raise DomainError("trace steps must be consecutive from 0")
         self.records.append(record)
 
+    def extend_idle(self, pairs: Sequence[tuple[int, int]], rules: Iterable[str]) -> None:
+        """Append the records of idle steps, one per pair and rule, at the
+        next steps: nothing moved."""
+        us, vs = zip(*pairs)
+        self.records += map(
+            _record, zip(count(len(self.records)), us, vs, rules, repeat(None), repeat(None))
+        )
+
     def lines(self) -> list[str]:
         out = [
             TRACE_MAGIC,
@@ -223,7 +267,7 @@ class InteractionTrace:
             "# config=" + json.dumps(self.config, sort_keys=True),
             f"# digest={self.final_digest or '-'}",
         ]
-        out.extend(r.line() for r in self.records)
+        out.extend(map(TraceRecord.line, self.records))
         return out
 
 
@@ -247,31 +291,61 @@ def read_trace(source: "str | Path | Iterable[str]") -> InteractionTrace:
         lines = list(source)
     if not lines or lines[0].strip() != TRACE_MAGIC:
         raise DomainError("not an enertree trace file")
+    # The header: comment lines up to the first record.
     header: dict[str, str] = {}
-    trace = InteractionTrace(seed=0, config={})
-    for line in lines[1:]:
-        line = line.strip()
-        if not line.startswith("#"):
-            if line:
-                trace.append(TraceRecord.parse(line))
+    body = len(lines)
+    for i in range(1, len(lines)):
+        line = lines[i].strip()
+        if line and not line.startswith("#"):
+            body = i
+            break
+        if not line:
             continue
         key, _, value = line[1:].strip().partition("=")
-        if key not in ("seed", "config", "digest") or key in header or trace.records:
+        if key not in ("seed", "config", "digest") or key in header:
             raise DomainError(f"unexpected trace header line: {line!r}")
         header[key] = value
     if "seed" not in header or "config" not in header:
         raise DomainError("trace file missing seed or config header")
     try:
-        trace.seed = int(header["seed"])
-        trace.config = json.loads(header["config"])
+        seed = int(header["seed"])
+        config = json.loads(header["config"])
     except ValueError as exc:  # json.JSONDecodeError is a ValueError
         raise DomainError(f"malformed trace header: {exc}") from exc
-    n = trace.config.get("n") if isinstance(trace.config, dict) else None
+    n = config.get("n") if isinstance(config, dict) else None
     if type(n) is not int:
         raise DomainError("trace config must be a JSON object with an integer n")
-    for rec in trace.records:
-        if not (0 <= rec.u < n and 0 <= rec.v < n) or rec.u == rec.v:
-            raise DomainError(f"trace step {rec.step}: invalid pair ({rec.u}, {rec.v}) for n={n}")
     digest = header.get("digest", "-")
-    trace.final_digest = None if digest == "-" else digest
+    trace = InteractionTrace(seed, config, final_digest=None if digest == "-" else digest)
+    # The records, each checked as it is read. Most are idle steps whose
+    # "u v rule - -" tail recurs, so a tail that passed every check once is
+    # looked up rather than parsed again.
+    records = trace.records
+    idle: dict[str, tuple] = {}
+    for line in lines[body:]:
+        head, _, tail = line.partition(" ")
+        known = idle.get(tail)
+        parsed = known is None or not head.isdecimal()
+        if parsed:
+            try:
+                rec = TraceRecord.parse(line)
+            except DomainError:
+                line = line.strip()
+                if not line:
+                    continue
+                if line.startswith("#"):
+                    raise DomainError(f"unexpected trace header line: {line!r}") from None
+                raise
+        else:
+            rec = _record((int(head), *known))
+        if rec.step != len(records):
+            raise DomainError("trace steps must be consecutive from 0")
+        if parsed:
+            if not (0 <= rec.u < n and 0 <= rec.v < n) or rec.u == rec.v:
+                raise DomainError(f"trace step {rec.step}: invalid pair ({rec.u}, {rec.v}) for n={n}")
+            # Only when the step is exactly the first field is the tail the
+            # other five.
+            if rec.moved is None and head == str(rec.step):
+                idle[tail] = rec[1:]
+        records.append(rec)
     return trace

@@ -1,10 +1,12 @@
 """Differential test of the skipping engine.
 
-A live run without a trace skips idle steps through the active-pair mask; the
-same run recording a trace takes every step in full. Over generated
-configurations and loaded snapshots, both must give the same ``runs.csv``
-row, metric samples, report and final snapshot digest, or raise the same
-error after drawing the same pairs.
+A live run skips idle steps through the active-pair mask, with or without a
+trace; the same run with ``validate=True`` takes every step in full. Over
+generated configurations and loaded snapshots, all three must give the same
+``runs.csv`` row, metric samples, report and final snapshot digest, or raise
+the same error after drawing the same pairs. The two traced runs must record
+the same trace, and a replay of the skipping run's trace (which skips too)
+must end on its digest after the same number of steps.
 """
 
 from __future__ import annotations
@@ -12,14 +14,21 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from enertree.active import ActivePairs
 from enertree.core import EnergyState, Population, TreeNetwork
-from enertree.energy import LossModel, parse_energy_protocol
+from enertree.energy import DepthTarget, LossModel, compute_ideal_energies, parse_energy_protocol
 from enertree.errors import InvariantError
-from enertree.estimation import true_depths
-from enertree.formation import FormationProtocol, load_snapshot, snapshot_digest, snapshot_lines
-from enertree.harness import ExperimentConfig, run_single
-from enertree.runner import simulate
-from enertree.scheduler import InteractionTrace, RandomScheduler, make_rng
+from enertree.estimation import apply_estimation_rules, true_depths
+from enertree.formation import (
+    FormationProtocol,
+    apply_formation_rule,
+    load_snapshot,
+    snapshot_digest,
+    snapshot_lines,
+)
+from enertree.harness import ExperimentConfig, replay_trace, run_single
+from enertree.runner import LiveEnergyDriver, RecordedEnergyDriver, simulate
+from enertree.scheduler import InteractionTrace, RandomScheduler, ScriptedScheduler, make_rng
 
 PROTOCOLS = ["ideal", "lambda:2", "rand", "kappa:0.5", "kdepth:2"]
 LOSSES = ["lossless", "normal:0.2,0.05"]
@@ -52,13 +61,19 @@ def configs(draw) -> ExperimentConfig:
 @given(configs())
 def test_skipping_engine_matches_step_path(config):
     fast = run_single(config, 0, record_trace=False, record_metrics=True)
-    step = run_single(config, 0, record_trace=True, record_metrics=True)
+    traced = run_single(config, 0, record_trace=True, record_metrics=True)
+    step = run_single(config, 0, record_trace=True, record_metrics=True, validate=True)
     assert step.outcome.skipped_steps == 0
-    assert repr(fast.row()) == repr(step.row())
-    assert repr(fast.outcome.samples) == repr(step.outcome.samples)
-    assert repr(fast.outcome.report) == repr(step.outcome.report)
-    assert fast.outcome.total_steps == step.outcome.total_steps
-    assert fast.outcome.digest == step.outcome.digest
+    for run in (fast, traced):
+        assert repr(run.row()) == repr(step.row())
+        assert repr(run.outcome.samples) == repr(step.outcome.samples)
+        assert repr(run.outcome.report) == repr(step.outcome.report)
+        assert run.outcome.total_steps == step.outcome.total_steps
+        assert run.outcome.digest == step.outcome.digest
+    assert traced.outcome.trace.records == step.outcome.trace.records
+    replayed = replay_trace(traced.outcome.trace)
+    assert replayed.digest == step.outcome.digest
+    assert replayed.total_steps == step.outcome.total_steps
 
 
 @st.composite
@@ -93,21 +108,34 @@ def snapshots(draw) -> tuple[list[str], int]:
     return snapshot_lines(pop), k
 
 
-def _simulate(lines, k, seed, record_trace, formation, **kwargs):
+def _simulate(lines, k, seed, traced, validate, formation, **kwargs):
+    """What a run on the snapshot gave, the records of its trace, and
+    whether it ran to the end (rather than raising)."""
     pop = load_snapshot(lines, arity_bound=k)
     scheduler = RandomScheduler(make_rng(seed), len(lines))
+    trace = InteractionTrace(seed, {}) if traced else None
+    records = trace.records if traced else None
     try:
         outcome = simulate(
-            pop,
-            formation=formation,
-            scheduler=scheduler,
-            trace=InteractionTrace(seed, {}) if record_trace else None,
-            **kwargs,
+            pop, formation=formation, scheduler=scheduler, trace=trace, validate=validate, **kwargs
         )
     except InvariantError as exc:
-        return repr(exc), scheduler.rng.getstate(), snapshot_digest(pop)
+        return (repr(exc), scheduler.rng.getstate(), snapshot_digest(pop)), records, False
     report = (outcome.report, outcome.samples, outcome.formation_steps, outcome.estimation_steps)
-    return repr(report), outcome.total_steps, outcome.digest
+    return (repr(report), outcome.total_steps, outcome.digest), records, True
+
+
+def _replay(lines, k, records, formation, **kwargs):
+    """Final digest and step count of a replay of ``records`` on the snapshot."""
+    outcome = simulate(
+        load_snapshot(lines, arity_bound=k),
+        formation=formation,
+        scheduler=ScriptedScheduler([(r.u, r.v) for r in records]),
+        energy_driver=RecordedEnergyDriver(records),
+        record_metrics=False,
+        **kwargs,
+    )
+    return outcome.digest, outcome.total_steps
 
 
 @DIFF
@@ -134,6 +162,74 @@ def test_skipping_engine_matches_step_path_on_a_snapshot(
         phase_mode=mode[0], target_basis=mode[1], formation_budget=budget,
         energy_budget=budget, window=window, metric_cadence=cadence,
     )
-    fast = _simulate(lines, k, seed, False, **kwargs)
-    step = _simulate(lines, k, seed, True, **kwargs)
-    assert fast == step
+    fast, _, _ = _simulate(lines, k, seed, False, False, **kwargs)
+    traced, records, _ = _simulate(lines, k, seed, True, False, **kwargs)
+    step, step_records, ended = _simulate(lines, k, seed, True, True, **kwargs)
+    assert fast == traced == step
+    assert records == step_records
+    if ended:
+        _, total_steps, digest = step
+        assert _replay(lines, k, records, **kwargs) == (digest, total_steps)
+
+
+def _settled_tree(draw, n, k, root_energy):
+    """A completed k-ary tree rooted at node 0 with settled registers, merge
+    keys diffused or stale (never below the root's), and random energies."""
+    net = TreeNetwork(n, arity_bound=k)
+    for c in range(1, n):
+        free = [p for p in range(c) if len(net.children[p]) < k]
+        net.add_edge(draw(st.sampled_from(free)), c)
+    d, height = true_depths(net)
+    w = [0] + draw(st.lists(st.integers(0, n), min_size=n - 1, max_size=n - 1))
+    energies = [root_energy] + draw(st.lists(st.floats(0.5, 1e3), min_size=n - 1, max_size=n - 1))
+    return Population(net, EnergyState(energies), w=w, d=d, h=[height] * n, fresh=False)
+
+
+@DIFF
+@given(st.data(), st.integers(2, 20), st.integers(2, 3), st.sampled_from(PROTOCOLS),
+       st.sampled_from(LOSSES), st.floats(0.0, 50.0))
+def test_refreshed_mask_is_the_mask_of_the_new_state(data, n, k, protocol, loss, root_energy):
+    # After every step, the incrementally refreshed mask holds exactly what a
+    # mask built from scratch on the new state holds. A small root energy
+    # makes kdepth drain its root, which must drop the root's buffer rows.
+    pop = _settled_tree(data.draw, n, k, root_energy)
+    formation = FormationProtocol.kary(k)
+    protocol = parse_energy_protocol(protocol)
+    scheduler = RandomScheduler(make_rng(data.draw(st.integers(0, 10**6))), n)
+    driver = LiveEnergyDriver(protocol, LossModel.parse(loss), scheduler.rng, pop.energy.total())
+    driver.table = compute_ideal_energies(pop.network, driver.total_energy)
+    mask = ActivePairs(pop, formation, protocol, driver)
+    d, h, w = pop.d, pop.h, pop.w
+    for t in range(20 * n):
+        u, v = scheduler.next_pair()
+        before = (d[u], h[u], w[u], d[v], h[v], w[v])
+        apply_formation_rule(formation, pop, u, v)
+        apply_estimation_rules(pop, u, v)
+        moved, _ = driver.move(pop, u, v, t)
+        mask.refresh(u, v, before, moved)
+        fresh = ActivePairs(pop, formation, protocol, driver)
+        assert (mask.rows, mask.count) == (fresh.rows, fresh.count)
+
+
+def test_kdepth_root_rows_only_while_the_root_holds_energy():
+    # Binary tree of 7 nodes; the root tops up its children until it is
+    # empty, and from then on no pair with the root is active.
+    net = TreeNetwork(7, arity_bound=2)
+    for c in range(1, 7):
+        net.add_edge((c - 1) // 2, c)
+    d, height = true_depths(net)
+    pop = Population(net, EnergyState([30.0] + [1.0] * 6), w=[0] * 7, d=d, h=[height] * 7,
+                     fresh=False)
+    protocol = DepthTarget(2)
+    driver = LiveEnergyDriver(protocol, LossModel.lossless(), make_rng(0), 1000.0)
+    driver.table = compute_ideal_energies(net, 1000.0)
+    mask = ActivePairs(pop, FormationProtocol.kary(2), protocol, driver)
+    assert all(mask.rows[0]) and pop.energy.per_node[0] > 0.0
+    for child in (1, 2):
+        before = (d[0], pop.h[0], pop.w[0], d[child], pop.h[child], pop.w[child])
+        moved, _ = driver.move(pop, 0, child, 0)
+        mask.refresh(0, child, before, moved)
+    assert pop.energy.per_node[0] == 0.0
+    assert not any(mask.rows[0])
+    assert not any(row[0] for row in mask.rows[1:])
+    assert mask.count == 0

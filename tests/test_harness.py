@@ -192,7 +192,7 @@ def test_scripted_targeted_interaction_through_engine():
     # six-node demo state driven by one scripted pick reproduces the
     # textbook surplus-to-deficit move (E2 starts at 150)
     pop = build_tree(6, DEMO_EDGES, [500.0, 150.0, 100.0, 400.0, 350.0, 600.0])
-    depthless = ScriptedScheduler([(0, 1)], n=6, rng=make_rng(0))
+    depthless = ScriptedScheduler([(0, 1)])
     outcome = simulate(
         pop,
         formation=None,
@@ -394,6 +394,30 @@ def test_cli_replay_exit_codes(tmp_path):
             break
     path.write_text("\n".join(text) + "\n")
     assert cli_main(["replay", "--trace", str(path), "--quiet"]) == 2
+
+
+@pytest.mark.parametrize("protocol", ["kary:2", "arbitrary"])
+@pytest.mark.parametrize("cut", ["skipped", "last"])
+def test_cli_replay_of_a_truncated_trace_exits_2(tmp_path, capsys, protocol, cut):
+    # A replay skips idle steps, but a skip that needs a pair beyond the end
+    # of the script still fails the replay, as the step-by-step path does.
+    cfg = ExperimentConfig(n=10, protocol=protocol, energy_protocol="ideal",
+                           loss="normal:0.2,0.05", master_seed=4)
+    path = tmp_path / "trace.txt"
+    write_trace(run_single(cfg, 0, record_trace=True).outcome.trace, path)
+    lines = path.read_text().splitlines()
+    if cut == "last":
+        keep = len(lines) - 1
+    else:  # halfway through the quiet tail after the last recorded move
+        last_move = max(
+            i for i, line in enumerate(lines) if line[0] != "#" and line.split()[4] != "-"
+        )
+        keep = (last_move + len(lines)) // 2
+        assert lines[keep].split()[3:] in (["NOOP", "-", "-"], ["UW", "-", "-"])
+    path.write_text("\n".join(lines[:keep]) + "\n")
+    assert cli_main(["replay", "--trace", str(path), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("replay mismatch: ") and err.count("\n") == 1
 
 
 def _record(lines, field, value, moved=False):

@@ -101,11 +101,16 @@ def test_skip_reproduces_sample_pair(n):
     mask = scheduler.pair_mask(stops)
     limits = [1, 2, 5, 40, 300]
     drawn = 0
+    recording = False
     while drawn < 200_000:
+        # every other skip hands back the pairs it passes over
         limit = limits[drawn % len(limits)]
-        k, u, v = scheduler.skip(limit, mask)
+        recording = not recording
+        handed = [] if recording else None
+        k, u, v = scheduler.skip(limit, mask, handed)
         passed = [sample_pair(slow, n) for _ in range(k - 1)]
         assert not stops.intersection(passed)
+        assert handed is None or handed == passed
         assert (u, v) == sample_pair(slow, n)
         assert (u, v) in stops or k == limit
         drawn += k
@@ -140,25 +145,52 @@ def test_derive_run_seed_spreads():
     assert derive_run_seed(42, 0) != derive_run_seed(43, 0)
 
 
-def test_scripted_scheduler_plays_script_then_falls_back():
-    sched = ScriptedScheduler([(0, 1), (2, 3)], n=5, rng=make_rng(0))
-    assert sched.next_pair() == (0, 1)
-    assert sched.next_pair() == (2, 3)
-    u, v = sched.next_pair()  # fallback draw
-    assert u != v and 0 <= u < 5 and 0 <= v < 5
+def test_scripted_scheduler_skip_plays_the_script():
+    # skip stops at the next pair in the mask or at the limit-th pair, as
+    # RandomScheduler.skip does, and hands back the pairs it passes over
+    script = [(0, 1), (2, 3), (3, 2), (1, 4), (4, 0), (2, 1)]
+    sched = ScriptedScheduler(script)
+    mask = RandomScheduler(make_rng(0), 5).pair_mask([(3, 2), (2, 1)])
+    handed = []
+    assert sched.skip(10, mask, handed) == (3, 3, 2)
+    assert handed == script[:2]
+    assert sched.skip(2, mask) == (2, 4, 0)
+    assert sched.next_pair() == (2, 1)
+    assert sched.pos == len(script)
 
 
-def test_scripted_scheduler_empty_script_behaves_as_sampler():
-    sched = ScriptedScheduler([], n=2, rng=make_rng(0))
-    for _ in range(20):
-        assert set(sched.next_pair()) == {0, 1}
-
-
-def test_scripted_scheduler_validates_pairs():
+def test_scripted_scheduler_empty_script_raises():
+    sched = ScriptedScheduler([])
+    mask = RandomScheduler(make_rng(0), 2).pair_mask([(0, 1)])
     with pytest.raises(DomainError):
-        ScriptedScheduler([(0, 0)], n=3)
+        sched.next_pair()
     with pytest.raises(DomainError):
-        ScriptedScheduler([(0, 9)], n=3)
+        sched.skip(1, mask)
+
+
+def test_scripted_skip_past_the_end_raises():
+    # A skip that would need a pair beyond the script raises, as the step
+    # by step path does when it asks for that pair; one that stops at a
+    # pair in the mask within the script does not.
+    script = [(0, 1), (1, 2), (2, 0)]
+    mask = RandomScheduler(make_rng(0), 3).pair_mask([(2, 0)])
+    none = RandomScheduler(make_rng(0), 3).pair_mask([])
+    assert ScriptedScheduler(script).skip(5, mask) == (3, 2, 0)
+    assert ScriptedScheduler(script).skip(3, none) == (3, 2, 0)
+    with pytest.raises(DomainError):
+        ScriptedScheduler(script).skip(4, none)
+    sched = ScriptedScheduler(script)
+    sched.skip(2, none)
+    with pytest.raises(DomainError):
+        sched.skip(2, none)
+
+
+def test_read_trace_validates_pairs():
+    header = ["# enertree-trace v1", "# seed=0", '# config={"n": 3}', "# digest=-"]
+    assert len(read_trace(header + ["0 0 1 SS - -"]).records) == 1
+    for record in ("0 0 0 SS - -", "0 0 9 SS - -", "0 -1 2 SS - -"):
+        with pytest.raises(DomainError, match="invalid pair"):
+            read_trace(header + [record])
 
 
 def test_scripted_scheduler_exhaustion_without_fallback():
@@ -187,6 +219,23 @@ def test_trace_file_roundtrip(tmp_path):
     assert loaded.config == trace.config
     assert loaded.final_digest == trace.final_digest
     assert loaded.records == trace.records
+
+
+def test_read_trace_checks_a_recurring_record_tail_once():
+    # An idle record's tail ("u v rule - -") that passed every check is
+    # reused for later lines; they give the records the full parse gives,
+    # and their steps are still checked.
+    header = ["# enertree-trace v1", "# seed=0", '# config={"n": 3}', "# digest=-"]
+    body = ["0 0 1 NOOP - -", "1 0 1 NOOP - -", "02 0 1 NOOP - -", "3  0 1 NOOP - -",
+            "4 0 1 NOOP - 0.5", "5 0 1 NOOP - 0.5", "6 2 1 UW - -", "7 2 1 UW - -"]
+    assert read_trace(header + body).records == [TraceRecord.parse(line) for line in body]
+    with pytest.raises(DomainError, match="consecutive"):
+        read_trace(header + ["0 0 1 NOOP - -", "2 0 1 NOOP - -"])
+    with pytest.raises(DomainError, match="invalid pair"):
+        read_trace(header + ["0 0 1 NOOP - -", "1 0 3 NOOP - -", "2 0 3 NOOP - -"])
+    # after a line that starts with a blank, its tail holds six fields
+    with pytest.raises(DomainError, match="malformed trace record"):
+        read_trace(header + [" 0 0 1 NOOP - -", "1 0 0 1 NOOP - -"])
 
 
 def test_trace_requires_consecutive_steps():

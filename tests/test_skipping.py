@@ -1,9 +1,10 @@
 """Idle-step skipping through the active-pair mask gives the outputs of the
 step-by-step loop.
 
-Recording a trace keeps every step on the step-by-step path, so each case
-runs the same seeded run twice, with and without a trace, and compares the
-row, the final snapshot and the metric samples.
+Validation keeps every step on the step-by-step path, so each case runs the
+same seeded run three times: skipping without a trace, skipping with one,
+and validated with one. It compares the row, the final snapshot, the metric
+samples and the trace records, and replays the skipping run's trace.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from enertree.energy import IdealTarget, LambdaExchange
 from enertree.errors import InvariantError
 from enertree.estimation import true_depths
 from enertree.formation import FormationProtocol
-from enertree.harness import ExperimentConfig, run_single
+from enertree.harness import ExperimentConfig, replay_trace, run_single
 from enertree.runner import simulate
 from enertree.scheduler import InteractionTrace, RandomScheduler, make_rng
 
@@ -26,11 +27,17 @@ def assert_same_as_step_path(config: ExperimentConfig, runs: int = 2) -> list:
     outcomes = []
     for i in range(runs):
         fast = run_single(config, i, record_trace=False, record_metrics=True)
-        step = run_single(config, i, record_trace=True, record_metrics=True)
+        traced = run_single(config, i, record_trace=True, record_metrics=True)
+        step = run_single(config, i, record_trace=True, record_metrics=True, validate=True)
         assert step.outcome.skipped_steps == 0
-        assert fast.row() == step.row()
-        assert fast.outcome.digest == step.outcome.digest
-        assert fast.outcome.samples == step.outcome.samples
+        for run in (fast, traced):
+            assert run.row() == step.row()
+            assert run.outcome.digest == step.outcome.digest
+            assert run.outcome.samples == step.outcome.samples
+        assert traced.outcome.trace.records == step.outcome.trace.records
+        replayed = replay_trace(traced.outcome.trace)
+        assert replayed.digest == step.outcome.trace.final_digest
+        assert replayed.total_steps == step.outcome.total_steps
         outcomes.append(fast.outcome)
     return outcomes
 
@@ -79,6 +86,19 @@ def test_most_redistribution_steps_are_skipped():
     assert outcome.skipped_steps > 0.8 * redistribution
 
 
+def test_traced_runs_and_replays_skip():
+    # The benchmark's trace workload: most steps after completion are
+    # skipped live with a trace, and again when the trace is replayed.
+    config = ExperimentConfig(n=30, protocol="arbitrary", energy_protocol="rand", loss=LOSSY,
+                              initial_energy="random")
+    (outcome,) = assert_same_as_step_path(config, runs=1)
+    traced = run_single(config, 0, record_trace=True).outcome
+    replayed = replay_trace(traced.trace)
+    after_completion = outcome.total_steps - outcome.formation_steps
+    assert traced.skipped_steps > 0.8 * after_completion
+    assert replayed.skipped_steps > 0.8 * after_completion
+
+
 @pytest.mark.parametrize("protocol", ["ideal", "kdepth:2"])
 @pytest.mark.parametrize("loss", ["lossless", LOSSY])
 def test_targeted_protocols_skip(protocol, loss):
@@ -109,12 +129,17 @@ def _stable_binary_tree(w):
     return Population(net, energy, w=w, d=depth, h=[height] * 7, fresh=False)
 
 
-def _run_on(pop, record_trace, scheduler=None):
+# How a run on a loaded tree is made: skipping without a trace, skipping
+# with one, and on the step path (validated) with one.
+MODES = [(False, False), (True, False), (True, True)]
+
+
+def _run_on(pop, traced, validate, scheduler=None):
     return simulate(
         pop, formation=FormationProtocol.kary(2),
         scheduler=scheduler or RandomScheduler(make_rng(11), 7),
         energy_protocol=LambdaExchange(2.0), metric_cadence=5,
-        trace=InteractionTrace(11, {}) if record_trace else None,
+        trace=InteractionTrace(11, {}) if traced else None, validate=validate,
     )
 
 
@@ -123,34 +148,40 @@ def test_broken_merge_keys_raise_at_the_same_pair():
     # to capture it and the step raises; the mask holds those root pairs, so
     # the skipping run raises after drawing the same pairs.
     states = []
-    for record_trace in (False, True):
+    for traced, validate in MODES:
         scheduler = RandomScheduler(make_rng(11), 7)
         with pytest.raises(InvariantError):
-            _run_on(_stable_binary_tree([3, 3, 3, 0, 0, 0, 0]), record_trace, scheduler)
+            _run_on(_stable_binary_tree([3, 3, 3, 0, 0, 0, 0]), traced, validate, scheduler)
         states.append(scheduler.rng.getstate())
-    assert states[0] == states[1]
+    assert states[0] == states[1] == states[2]
 
 
 def test_stale_merge_keys_skip():
     # Keys above the root's are stale, not broken: UW copies them down the
     # tree edge by edge while the targeted protocol moves energy elsewhere.
-    def run(record_trace):
+    def run(traced, validate):
         return simulate(
             _stable_binary_tree([0, 5, 6, 4, 3, 2, 1]), formation=FormationProtocol.kary(2),
             scheduler=RandomScheduler(make_rng(5), 7), energy_protocol=IdealTarget(),
-            window=40, metric_cadence=3, trace=InteractionTrace(5, {}) if record_trace else None,
+            window=40, metric_cadence=3, trace=InteractionTrace(5, {}) if traced else None,
+            validate=validate,
         )
 
-    fast, step = run(False), run(True)
-    assert fast.skipped_steps > 0
-    assert fast.pop.w == step.pop.w == [0] * 7
-    assert (fast.digest, fast.samples, fast.report) == (step.digest, step.samples, step.report)
+    fast, traced, step = (run(*mode) for mode in MODES)
+    assert step.skipped_steps == 0
+    assert fast.skipped_steps > 0 and traced.skipped_steps > 0
+    for run in (fast, traced):
+        assert run.pop.w == step.pop.w == [0] * 7
+        assert (run.digest, run.samples, run.report) == (step.digest, step.samples, step.report)
+    assert traced.trace.records == step.trace.records
 
 
 def test_diffused_merge_keys_skip():
-    fast = _run_on(_stable_binary_tree([0] * 7), record_trace=False)
-    step = _run_on(_stable_binary_tree([0] * 7), record_trace=True)
-    assert fast.skipped_steps > 0
-    assert fast.digest == step.digest
-    assert fast.samples == step.samples
-    assert fast.report == step.report
+    fast, traced, step = (_run_on(_stable_binary_tree([0] * 7), *mode) for mode in MODES)
+    assert step.skipped_steps == 0
+    assert fast.skipped_steps > 0 and traced.skipped_steps > 0
+    for run in (fast, traced):
+        assert run.digest == step.digest
+        assert run.samples == step.samples
+        assert run.report == step.report
+    assert traced.trace.records == step.trace.records
