@@ -21,12 +21,7 @@ from .energy import (
     RandExchange,
     compute_ideal_energies,
     depth_target,
-    ideal_target_step,
-    k_depth_target_step,
-    kappa_transfer_step,
-    lambda_exchange_step,
     parse_energy_protocol,
-    rand_exchange_step,
     sample_beta,
 )
 from .errors import ConfigError, DomainError, InvariantError, ReplayMismatch
@@ -50,10 +45,8 @@ from .harness import (
 from .metrics import (
     ConvergenceReport,
     MetricSample,
-    detect_convergence,
     distribution_distance,
     energy_distance,
-    energy_loss_fraction,
     line_potential,
 )
 from .runner import simulate

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .errors import DomainError, InvariantError
 
@@ -76,16 +76,6 @@ class NodeState:
             return self.kind.value
         return f"{self.kind.value}{self.children}"
 
-    @staticmethod
-    def from_token(token: str) -> "NodeState":
-        head, rest = token[0], token[1:]
-        kind = NodeKind(head)
-        if kind in (NodeKind.ISOLATED, NodeKind.LEAF):
-            if rest:
-                raise DomainError(f"malformed state token {token!r}")
-            return NodeState(kind)
-        return NodeState(kind, int(rest))
-
 
 class TreeNetwork:
     """Parent/children adjacency over node ids with structural guards.
@@ -113,10 +103,6 @@ class TreeNetwork:
     def _check_id(self, v: int) -> None:
         if not 0 <= v < self.n:
             raise DomainError(f"unknown node id {v}")
-
-    def is_edge(self, u: int, v: int) -> bool:
-        """True if u is the parent of v."""
-        return self.parent[v] == u
 
     def add_edge(self, parent: int, child: int) -> None:
         self._check_id(parent)
@@ -319,10 +305,3 @@ class Population:
     @property
     def n(self) -> int:
         return self.network.n
-
-
-def resolve_beta(beta: "float | Callable[[], float]") -> float:
-    """Accept either a plain loss fraction or a lazy sampler. The sampler is
-    invoked only when a transfer actually happens, so interactions without an
-    exchange consume no random draw."""
-    return beta() if callable(beta) else beta

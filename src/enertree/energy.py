@@ -17,15 +17,18 @@ Five protocols with different knowledge requirements:
   unbounded buffer, paying deficits and absorbing surpluses (transfers
   involving the root are capped by the root's current energy).
 
-Each protocol object carries its own behaviour: ``step(pop, u, v, draws)``
-applies one interaction and returns the signed amount moved (positive when
-u sent to v), ``mark_active(mask, pop, draws)`` tells an ``ActivePairs``
-mask which pairs it can act on once the estimates have stabilized, and
+Each protocol object carries its rule: ``step(pop, u, v, draws)`` applies
+one interaction and returns the signed amount moved (positive when u sent
+to v); the three edge protocols write it as ``edge_step(energy, p, c,
+draws)``, which moves energy from the child c up to the parent p.
+``mark_active(mask, pop, draws)`` tells an ``ActivePairs`` mask which pairs
+the protocol can act on once the estimates have stabilized, and
 ``edge_only`` says whether it can act only on a parent-child pair (which
 decides how its runs converge). ``draws`` supplies what the protocol may
-know beyond the pair: the generator ``rng``, the lazily drawn loss fraction
-``beta()``, the ideal ``table`` (None until the tree is complete) and
-``total_energy``.
+know beyond the pair: the generator ``rng``, the loss fraction ``beta()``
+(called only when a transfer fires, as the argument of ``transfer``, so an
+idle interaction draws nothing), the ideal ``table`` (None until the tree
+is complete) and ``total_energy``.
 
 Whenever x units are sent, the receiver gets (1-beta)x and beta*x is
 destroyed. All firing conditions carry a tiny relative slack
@@ -35,22 +38,13 @@ of churning on float noise.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from typing import Union, get_args
 
-from .core import (
-    EnergyState,
-    Population,
-    TreeNetwork,
-    resolve_beta,
-    spec_numbers,
-    strictly_greater,
-)
+from .core import EnergyState, Population, TreeNetwork, spec_numbers, strictly_greater
 from .errors import DomainError
 from .estimation import true_depths
-from .formation import is_formation_complete
 
 BETA_CAP = 0.999
 
@@ -100,13 +94,29 @@ def sample_beta(model: LossModel, rng: random.Random) -> float:
 
 @dataclass(frozen=True)
 class IdealTarget:
+    """Any interacting pair: the node above its ideal share sends
+    min(surplus, deficit) to the node below its share."""
+
     tag = "IDEAL"
     edge_only = False
 
     def step(self, pop: Population, u: int, v: int, draws) -> float:
-        if draws.table is None:
+        table = draws.table
+        if table is None:
             return 0.0  # no targets until the tree is complete
-        return ideal_target_step(pop.energy, u, v, draws.table, draws.beta)
+        energy = pop.energy
+        e = energy.per_node
+        eu, ev = e[u], e[v]
+        tu, tv = table.values[u], table.values[v]
+        if strictly_greater(eu, tu) and strictly_greater(tv, ev):
+            x = min(eu - tu, tv - ev)
+            energy.transfer(u, v, x, draws.beta())
+            return x
+        if strictly_greater(tu, eu) and strictly_greater(ev, tv):
+            x = min(tu - eu, ev - tv)
+            energy.transfer(v, u, x, draws.beta())
+            return -x
+        return 0.0
 
     def mark_active(self, mask, pop: Population, draws) -> None:
         mask.track_targets(draws.table.values, one_way=False)
@@ -130,6 +140,19 @@ class _EdgeProtocol:
         mask.pin_edges()  # rand draws its ratio on every edge interaction
 
 
+def _exchange(energy: EnergyState, p: int, c: int, lam: float, draws) -> float:
+    """Fires only while E_p < lam * E_c, moving x = (lam * E_c - E_p) / (lam + 1)
+    from child to parent so that, with no loss, the pair lands exactly on
+    E_p = lam * E_c. Returns x (0 if idle)."""
+    e = energy.per_node
+    ep, ec = e[p], e[c]
+    if strictly_greater(lam * ec, ep):
+        x = (lam * ec - ep) / (lam + 1.0)
+        energy.transfer(c, p, x, draws.beta())
+        return x
+    return 0.0
+
+
 @dataclass(frozen=True)
 class LambdaExchange(_EdgeProtocol):
     lam: float
@@ -140,11 +163,14 @@ class LambdaExchange(_EdgeProtocol):
             raise DomainError("exchange ratio must be >= 2")
 
     def edge_step(self, energy: EnergyState, p: int, c: int, draws) -> float:
-        return lambda_exchange_step(energy, p, c, self.lam, draws.beta)
+        return _exchange(energy, p, c, self.lam, draws)
 
 
 @dataclass(frozen=True)
 class RandExchange(_EdgeProtocol):
+    """The lambda exchange with the ratio redrawn uniformly from [lo, hi] on
+    every parent-child interaction, before the condition is tested."""
+
     lo: float = 2.0
     hi: float = 3.0
     tag = "RAND"
@@ -154,11 +180,14 @@ class RandExchange(_EdgeProtocol):
             raise DomainError("exchange ratio interval must satisfy 2 <= lo <= hi")
 
     def edge_step(self, energy: EnergyState, p: int, c: int, draws) -> float:
-        return rand_exchange_step(energy, p, c, draws.rng, draws.beta, self.lo, self.hi)
+        return _exchange(energy, p, c, draws.rng.uniform(self.lo, self.hi), draws)
 
 
 @dataclass(frozen=True)
 class KappaTransfer(_EdgeProtocol):
+    """While E_p < 2 * E_c the child sends a fixed kappa fraction of its own
+    energy to the parent."""
+
     kappa: float
     tag = "KAPPA"
 
@@ -167,11 +196,26 @@ class KappaTransfer(_EdgeProtocol):
             raise DomainError("transfer fraction must be in (0, 1)")
 
     def edge_step(self, energy: EnergyState, p: int, c: int, draws) -> float:
-        return kappa_transfer_step(energy, p, c, self.kappa, draws.beta)
+        e = energy.per_node
+        ep, ec = e[p], e[c]
+        if strictly_greater(2.0 * ec, ep):
+            x = self.kappa * ec
+            energy.transfer(c, p, x, draws.beta())
+            return x
+        return 0.0
 
 
 @dataclass(frozen=True)
 class DepthTarget:
+    """Targeted exchange against locally estimated targets, on any pair.
+
+    Between two non-root nodes, u pays v min(surplus, deficit) when u is
+    above target and v below. When one side is the root, the other side's
+    gap to target decides the direction: the root tops up a deficit or
+    absorbs a surplus, with the amount clamped by the root's own energy in
+    both directions.
+    """
+
     k: int
     tag = "KDEPTH"
     edge_only = False
@@ -181,7 +225,39 @@ class DepthTarget:
             raise DomainError("depth-target arity must be >= 2")
 
     def step(self, pop: Population, u: int, v: int, draws) -> float:
-        return k_depth_target_step(pop, u, v, self.k, draws.total_energy, draws.beta)
+        net = pop.network
+        energy = pop.energy
+        e = energy.per_node
+        k, total = self.k, draws.total_energy
+        u_root = _is_root(net, u)
+        v_root = _is_root(net, v)
+        if u_root and v_root:
+            return 0.0
+        if not u_root and not v_root:
+            zu = depth_target(pop, u, k, total)
+            zv = depth_target(pop, v, k, total)
+            eu, ev = e[u], e[v]
+            if strictly_greater(eu, zu) and strictly_greater(zv, ev):
+                x = min(eu - zu, zv - ev)
+                energy.transfer(u, v, x, draws.beta())
+                return x
+            return 0.0
+        r, o = (u, v) if u_root else (v, u)
+        zo = depth_target(pop, o, k, total)
+        eo = e[o]
+        if strictly_greater(zo, eo):
+            x = min(zo - eo, e[r])
+            if x <= 0.0:
+                return 0.0
+            energy.transfer(r, o, x, draws.beta())
+            return x if r == u else -x
+        if strictly_greater(eo, zo):
+            x = min(eo - zo, e[r])
+            if x <= 0.0:
+                return 0.0
+            energy.transfer(o, r, x, draws.beta())
+            return -x if r == u else x
+        return 0.0
 
     def mark_active(self, mask, pop: Population, draws) -> None:
         # Non-root pairs pay only from u above to v below; the root buffers
@@ -240,75 +316,6 @@ def compute_ideal_energies(network: TreeNetwork, total_energy: float) -> IdealEn
     return IdealEnergyTable(values=values, base=base, total=total_energy)
 
 
-def ideal_target_step(
-    energy: EnergyState, u: int, v: int, table: IdealEnergyTable, beta
-) -> float:
-    """Targeted exchange between any interacting pair: the node above its
-    target sends min(surplus, deficit) to the node below its target.
-
-    Returns the amount debited from the sender, signed positive when u sent
-    to v and negative for the opposite direction; 0.0 when nothing fired.
-    """
-    e = energy.per_node
-    eu, ev = e[u], e[v]
-    tu, tv = table.values[u], table.values[v]
-    if strictly_greater(eu, tu) and strictly_greater(tv, ev):
-        x = min(eu - tu, tv - ev)
-        energy.transfer(u, v, x, resolve_beta(beta))
-        return x
-    if strictly_greater(tu, eu) and strictly_greater(ev, tv):
-        x = min(tu - eu, ev - tv)
-        energy.transfer(v, u, x, resolve_beta(beta))
-        return -x
-    return 0.0
-
-
-def lambda_exchange_step(
-    energy: EnergyState, p: int, c: int, lam: float, beta
-) -> float:
-    """Parent-child exchange: fires only while E_p < lam * E_c, moving
-    x = (lam * E_c - E_p) / (lam + 1) from child to parent so that, with no
-    loss, the pair lands exactly on E_p = lam * E_c. Returns x (0 if idle).
-    """
-    e = energy.per_node
-    ep, ec = e[p], e[c]
-    if strictly_greater(lam * ec, ep):
-        x = (lam * ec - ep) / (lam + 1.0)
-        energy.transfer(c, p, x, resolve_beta(beta))
-        return x
-    return 0.0
-
-
-def rand_exchange_step(
-    energy: EnergyState,
-    p: int,
-    c: int,
-    rng: random.Random,
-    beta,
-    lo: float = 2.0,
-    hi: float = 3.0,
-) -> float:
-    """lambda-exchange with the ratio redrawn uniformly from [lo, hi] on
-    every parent-child interaction (the draw happens even when the exchange
-    condition then fails, keeping the stream aligned for replay)."""
-    lam = rng.uniform(lo, hi)
-    return lambda_exchange_step(energy, p, c, lam, beta)
-
-
-def kappa_transfer_step(
-    energy: EnergyState, p: int, c: int, kappa: float, beta
-) -> float:
-    """Parent-child transfer: while E_p < 2 * E_c the child sends a fixed
-    kappa fraction of its own energy to the parent. Returns the amount."""
-    e = energy.per_node
-    ep, ec = e[p], e[c]
-    if strictly_greater(2.0 * ec, ep):
-        x = kappa * ec
-        energy.transfer(c, p, x, resolve_beta(beta))
-        return x
-    return 0.0
-
-
 def depth_target(pop: Population, v: int, k: int, total_energy: float) -> float:
     """Target energy of a non-root node from its current register estimates:
     total / (k^d * (h + 1)). Fresh registers (d = h = 0) give the degenerate
@@ -321,62 +328,3 @@ def depth_target(pop: Population, v: int, k: int, total_energy: float) -> float:
 
 def _is_root(net: TreeNetwork, x: int) -> bool:
     return net.parent[x] == -1 and bool(net.children[x])
-
-
-def k_depth_target_step(
-    pop: Population, u: int, v: int, k: int, total_energy: float, beta
-) -> float:
-    """Targeted exchange against locally estimated targets, on any pair.
-
-    Between two non-root nodes, u pays v min(surplus, deficit) when u is
-    above target and v below. When one side is the root, the other side's
-    gap to target decides the direction: the root tops up a deficit or
-    absorbs a surplus, with the amount clamped by the root's own energy in
-    both directions. Returns the signed amount debited (positive: u sent).
-    """
-    net = pop.network
-    e = pop.energy.per_node
-    u_root = _is_root(net, u)
-    v_root = _is_root(net, v)
-    if u_root and v_root:
-        return 0.0
-    if not u_root and not v_root:
-        zu = depth_target(pop, u, k, total_energy)
-        zv = depth_target(pop, v, k, total_energy)
-        eu, ev = e[u], e[v]
-        if strictly_greater(eu, zu) and strictly_greater(zv, ev):
-            x = min(eu - zu, zv - ev)
-            pop.energy.transfer(u, v, x, resolve_beta(beta))
-            return x
-        return 0.0
-    r, o = (u, v) if u_root else (v, u)
-    zo = depth_target(pop, o, k, total_energy)
-    eo = e[o]
-    if strictly_greater(zo, eo):
-        x = min(zo - eo, e[r])
-        if x <= 0.0:
-            return 0.0
-        pop.energy.transfer(r, o, x, resolve_beta(beta))
-        return x if r == u else -x
-    if strictly_greater(eo, zo):
-        x = min(eo - zo, e[r])
-        if x <= 0.0:
-            return 0.0
-        pop.energy.transfer(o, r, x, resolve_beta(beta))
-        return -x if r == u else x
-    return 0.0
-
-
-def target_feasible(pop: Population, k: int, total_energy: float) -> bool:
-    """With stabilized estimates on a k-ary tree the non-root targets sum to
-    strictly less than the total energy; the remainder lands on the root."""
-    if not is_formation_complete(pop.network):
-        raise DomainError("feasibility check needs a completed tree")
-    net = pop.network
-    if net.n == 1:
-        return True
-    root = net.roots()[0]
-    total = math.fsum(
-        depth_target(pop, v, k, total_energy) for v in range(net.n) if v != root
-    )
-    return total < total_energy

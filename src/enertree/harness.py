@@ -28,7 +28,6 @@ from .runner import (
     BASIS_POST_FORMATION,
     CONCURRENT,
     TWOPHASE,
-    RecordedEnergyDriver,
     SimOutcome,
     default_budget,
     default_window,
@@ -336,7 +335,8 @@ def run_experiment(
     """Execute config.repetitions independent seeded runs and aggregate.
 
     With ``out_dir`` set, writes runs.csv and summary.json, plus per-run
-    metrics.csv / trace.txt when the config enables them.
+    metrics.csv / trace.txt when the config enables them. A run's trace is
+    dropped from its outcome once its trace.txt is written.
     """
     out = Path(out_dir) if out_dir is not None else None
     if out is not None:
@@ -354,6 +354,7 @@ def run_experiment(
                 write_metrics_csv(result.outcome.samples, run_dir / "metrics.csv")
             if config.emit_traces and result.outcome.trace is not None:
                 write_trace(result.outcome.trace, run_dir / "trace.txt")
+                result.outcome.trace = None  # trace.txt holds it now
     rows = [r.row() for r in results]
     summary = ExperimentSummary(config, results, aggregate_rows(rows))
     if out is not None:
@@ -368,14 +369,6 @@ def run_experiment(
     return summary
 
 
-def read_runs_csv(path: "str | Path") -> list[dict]:
-    with open(path, newline="") as fh:
-        return [
-            {name: cast(raw[name]) for name, cast in RUNS_CSV_CASTS.items()}
-            for raw in csv.DictReader(fh)
-        ]
-
-
 def replay_trace(trace: InteractionTrace) -> SimOutcome:
     """Re-execute a recorded run: pairs come from the trace, formation and
     estimation rules are recomputed, energy moves are applied verbatim.
@@ -383,12 +376,10 @@ def replay_trace(trace: InteractionTrace) -> SimOutcome:
     config = ExperimentConfig.from_dict(trace.config)
     rng = make_rng(trace.seed)
     pop = build_population(config, rng)
-    scheduler = ScriptedScheduler([(r.u, r.v) for r in trace.records])
     try:
         outcome = simulate(
             pop,
-            scheduler=scheduler,
-            energy_driver=RecordedEnergyDriver(trace.records),
+            scheduler=ScriptedScheduler(trace.records),
             record_metrics=False,
             **config.engine_args(),
         )

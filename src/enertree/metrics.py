@@ -16,7 +16,7 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .core import EnergyState, TreeNetwork
 from .energy import EnergyProtocol, IdealEnergyTable
@@ -103,13 +103,6 @@ def line_potential(network: TreeNetwork, energy: EnergyState, lam: float) -> flo
         if e[a] < lam * e[b]:
             total += lam * e[b] - e[a]
     return total
-
-
-def energy_loss_fraction(energy: EnergyState, initial_total: Optional[float] = None) -> float:
-    total = energy.initial_total if initial_total is None else initial_total
-    if total <= 0:
-        raise DomainError("loss fraction needs a positive reference total")
-    return energy.lost / total
 
 
 @dataclass(frozen=True)
@@ -221,25 +214,3 @@ class ConvergenceDetector:
             # observed step
             return ConvergenceReport(tau=self.horizon, dd_at_tau=self.last_dd, converged=False)
         return ConvergenceReport(tau=self.tau, dd_at_tau=self._tau_dd, converged=self.converged)
-
-
-def detect_convergence(
-    protocol: EnergyProtocol,
-    steps: Iterable[tuple[float, float]],
-    window: int,
-    dd_tol: float = 0.0,
-    horizon: Optional[int] = None,
-) -> ConvergenceReport:
-    """Offline wrapper over ConvergenceDetector.
-
-    ``steps`` yields (dd, moved) per step, starting at step 0 (the state
-    before any interaction).
-    """
-    rows = list(steps)
-    if horizon is None:
-        horizon = max(len(rows) - 1, 0)
-    detector = ConvergenceDetector(convergence_kind(protocol), window, dd_tol, horizon)
-    for step, (dd, moved) in enumerate(rows):
-        if detector.observe(step, dd, moved):
-            break
-    return detector.report()

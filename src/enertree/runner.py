@@ -13,10 +13,11 @@ it also moves energy and feeds the metrics and the convergence detector.
 Tree completion and estimate stabilization are checked in the same place
 for both.
 
-The same loop serves live execution and trace replay: the pair sequence
-comes from a scheduler (random or scripted from a trace) and energy moves
-come from a driver (computed live, or applied verbatim from the recorded
-amounts and loss fractions).
+The same loop serves live execution and trace replay. A live run draws its
+pairs from a ``RandomScheduler`` and has a ``LiveEnergyDriver`` compute
+each move through the protocol's rule. A run on a ``ScriptedScheduler`` is a
+replay: the scheduler yields each recorded pair and applies that step's
+recorded amount and loss fraction verbatim.
 
 Once the tree is complete, most pairs are idle: their step changes no
 register, edge or energy and draws nothing. A run that validates nothing
@@ -32,12 +33,13 @@ output is unchanged.
 
 A traced run records each skipped step as the step path would: the pair,
 ``UW`` on a tree edge under the k-ary rules (else ``NOOP``), and no move.
-A replay masks only the formation and estimation rules and also stops at
-each step whose record moved energy, so recorded moves are applied
-verbatim, whatever the trace holds. Once the mask is empty nothing can
-change before the run ends; a live run that records no trace then jumps to
-its verdict without drawing (nothing reads the generator after
-``simulate``), while a traced run or a replay passes over the same pairs.
+A replay masks only the formation and estimation rules, and its
+scheduler's ``skip`` also stops at each step whose record moved energy, so
+recorded moves are applied verbatim, whatever the trace holds. Once the
+mask is empty nothing can change before the run ends; a live run that
+records no trace then jumps to its verdict without drawing (nothing reads
+the generator after ``simulate``), while a traced run or a replay passes
+over the same pairs.
 Validation, concurrent mode before stabilization, and an interpreter where
 ``RandomScheduler.skip`` differs from the sampler keep the step path.
 """
@@ -48,7 +50,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Optional, Sequence
+from typing import Optional
 
 from .active import ActivePairs
 from .core import EnergyState, Population
@@ -143,45 +145,9 @@ class LiveEnergyDriver:
         self.drawn = sample_beta(self.loss, self.rng)
         return self.drawn
 
-    def move(self, pop: Population, u: int, v: int, step: int) -> tuple[float, Optional[float]]:
+    def move(self, pop: Population, u: int, v: int) -> tuple[float, Optional[float]]:
         self.drawn = None
         return self.protocol.step(pop, u, v, self), self.drawn
-
-
-class RecordedEnergyDriver:
-    """Applies the recorded signed amount and loss fraction of each step
-    verbatim, reproducing the original float operations bit for bit."""
-
-    table = None  # simulate sets the ideal table on every driver; replay needs none
-
-    def __init__(self, records: Sequence[TraceRecord]):
-        self.records = records
-        # The steps whose record moved energy, and the past-the-end step.
-        self.moves = [i for i, rec in enumerate(records) if rec.moved] + [len(records)]
-        self.cursor = 0
-
-    def next_move(self, t: int) -> int:
-        """The step count once the first recorded move at or after step
-        ``t`` has run (one past the script when none is left)."""
-        moves, i = self.moves, self.cursor
-        while moves[i] < t:
-            i += 1
-        self.cursor = i
-        return moves[i] + 1
-
-    def move(self, pop: Population, u: int, v: int, step: int) -> tuple[float, Optional[float]]:
-        rec = self.records[step]
-        if rec.u != u or rec.v != v:
-            raise DomainError(f"trace record {step} does not match the pair")
-        moved = rec.moved
-        if not moved:
-            return 0.0, None
-        beta = rec.beta if rec.beta is not None else 0.0
-        if moved > 0:
-            pop.energy.transfer(u, v, moved, beta)
-        else:
-            pop.energy.transfer(v, u, -moved, beta)
-        return moved, rec.beta
 
 
 @dataclass
@@ -230,14 +196,14 @@ def simulate(
     metric_cadence: Optional[int] = None,
     target_basis: str = BASIS_POST_FORMATION,
     trace: Optional[InteractionTrace] = None,
-    energy_driver=None,
     validate: bool = False,
     record_metrics: bool = True,
 ) -> SimOutcome:
     """Run one simulation to completion (see the module docstring).
 
     Every protocol draw (exchange ratio, loss fraction) comes from the
-    scheduler's generator, right after the pair it belongs to. A ``trace``,
+    scheduler's generator, right after the pair it belongs to; a
+    ``ScriptedScheduler`` replays its recorded moves instead. A ``trace``,
     when given, receives one record per step and the final digest."""
     net = pop.network
     n = net.n
@@ -271,25 +237,26 @@ def simulate(
     if formation is None and not complete:
         raise DomainError("redistribution on an incomplete network needs a formation protocol")
 
+    replaying = isinstance(scheduler, ScriptedScheduler)
     driver = ideal = basis_total = None
     if energy_protocol is not None:
         basis_total = e.initial_total if target_basis == BASIS_INITIAL else e.total()
-        driver = energy_driver
-        if driver is None:
-            # No generator at n=1 (no scheduler) or behind a scripted
-            # scheduler: the protocol may then draw nothing
+        if replaying:
+            driver = scheduler
+        else:
+            # No generator at n=1 (no scheduler): the protocol draws nothing
             rng = getattr(scheduler, "rng", None)
             driver = LiveEnergyDriver(energy_protocol, loss, rng, basis_total)
         if complete:
-            ideal = driver.table = compute_ideal_energies(net, basis_total)
+            ideal = compute_ideal_energies(net, basis_total)
+            if not replaying:
+                driver.table = ideal
         kind = convergence_kind(energy_protocol)
         dd_tol = DD_TOL_FRACTION * basis_total
         detector = ConvergenceDetector(kind, window, dd_tol, horizon=energy_budget)
     # Live runs and replays skip (see the module docstring).
-    replaying = isinstance(energy_driver, RecordedEnergyDriver)
     skipping = not validate and (
-        isinstance(scheduler, RandomScheduler) and energy_driver is None and skip_matches_sampler()
-        or isinstance(scheduler, ScriptedScheduler) and replaying
+        replaying or isinstance(scheduler, RandomScheduler) and skip_matches_sampler()
     )
     drawn: Optional[list] = None if trace is None else []
     uw_edges = formation is not None and formation.kind == KARY
@@ -350,12 +317,11 @@ def simulate(
                     stop = min(stop, t - (t - t0) % metric_cadence + metric_cadence)
                 if kind == QUIESCENCE:
                     stop = min(stop, t0 + detector.last_move + window)
-                if replaying:
-                    stop = min(stop, driver.next_move(t))
-                elif trace is None and not dirty and not mask.count:
+                if not replaying and trace is None and not dirty and not mask.count:
                     # No step can change anything before the run ends: jump
                     # to the verdict without drawing (a traced run records
-                    # every pair, so it skips to the verdict instead).
+                    # every pair and a replay applies every recorded move,
+                    # so both skip to the verdict instead).
                     if record_metrics:
                         samples += _quiet_samples(t - t0, stop - t0, metric_cadence, dd, e)
                     skipped += stop - t
@@ -393,7 +359,9 @@ def simulate(
                 formation_steps = t
                 unsettled = UnsettledNodes(pop)
                 if driver is not None:
-                    ideal = driver.table = compute_ideal_energies(net, basis_total)
+                    ideal = compute_ideal_energies(net, basis_total)
+                    if not replaying:
+                        driver.table = ideal
                 probe = not moving  # phase A probes at once
         elif complete and not stabilized:
             unsettled.update(u, v)
@@ -406,7 +374,7 @@ def simulate(
         if moving:
             s = t - t0
             pre = incident_distance(net, e, u, v)
-            moved, beta = driver.move(pop, u, v, t - 1)
+            moved, beta = driver.move(pop, u, v)
             if moved:
                 dd += incident_distance(net, e, u, v) - pre
                 if dd < 0.0:

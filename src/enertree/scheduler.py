@@ -1,5 +1,5 @@
-"""Fair probabilistic scheduler with deterministic seeding, plus the scripted
-variant and the replayable interaction trace.
+"""Fair probabilistic scheduler with deterministic seeding, the scripted
+scheduler that replays a trace, and the replayable interaction trace.
 
 The repo-wide PRNG is CPython's ``random.Random`` (Mersenne Twister,
 MT19937), which produces the same sequence for the same integer seed on
@@ -153,46 +153,63 @@ def _skip_agrees(n: int) -> bool:
 
 
 class ScriptedScheduler:
-    """Yields a fixed pair sequence and raises DomainError past its end.
+    """Replays recorded steps: yields each step's pair and applies that
+    step's recorded energy move. Raises DomainError past the last record.
 
-    Pair orientation is taken verbatim from the script, standing in for the
+    Pair orientation is taken verbatim from the records, standing in for the
     "either may become the parent" choices of the random scheduler.
     """
 
-    __slots__ = ("pairs", "pos")
+    __slots__ = ("records", "pos")
 
-    def __init__(self, pairs: Sequence[tuple[int, int]]):
-        self.pairs = list(pairs)
+    def __init__(self, records: Sequence["TraceRecord"]):
+        self.records = records
         self.pos = 0
 
     def next_pair(self) -> tuple[int, int]:
-        if self.pos >= len(self.pairs):
+        if self.pos >= len(self.records):
             raise DomainError("scripted scheduler exhausted")
-        pair = self.pairs[self.pos]
+        rec = self.records[self.pos]
         self.pos += 1
-        return pair
+        return rec.u, rec.v
 
     def skip(
         self, limit: int, mask: Sequence[bytes], drawn: Optional[list] = None
     ) -> tuple[int, int, int]:
-        """``RandomScheduler.skip`` over the script: the next pair in
-        ``mask`` or the ``limit``-th, whichever comes first. DomainError if
-        the script ends before either."""
-        pairs = self.pairs
+        """``RandomScheduler.skip`` over the records: the next step whose
+        pair is in ``mask`` or whose record moved energy, or the
+        ``limit``-th, whichever comes first. DomainError if the records end
+        before either."""
+        records = self.records
         start = self.pos
-        for i in range(start, min(start + limit, len(pairs))):
-            u, v = pairs[i]
-            if mask[u][v - (v > u)]:
+        for i in range(start, min(start + limit, len(records))):
+            _, u, v, _, moved, _ = records[i]
+            if moved or mask[u][v - (v > u)]:
                 break
         else:
             i = start + limit - 1
-            if i >= len(pairs):
+            if i >= len(records):
                 raise DomainError("scripted scheduler exhausted")
-            u, v = pairs[i]
+            _, u, v, *_ = records[i]
         if drawn is not None:
-            drawn.extend(pairs[start:i])
+            drawn.extend((rec.u, rec.v) for rec in records[start:i])
         self.pos = i + 1
         return i + 1 - start, u, v
+
+    def move(self, pop, u: int, v: int) -> tuple[float, Optional[float]]:
+        """Apply the recorded signed amount and loss fraction of the step
+        whose pair was yielded last, reproducing the original float
+        operations bit for bit."""
+        rec = self.records[self.pos - 1]
+        moved = rec.moved
+        if not moved:
+            return 0.0, None
+        beta = rec.beta if rec.beta is not None else 0.0
+        if moved > 0:
+            pop.energy.transfer(u, v, moved, beta)
+        else:
+            pop.energy.transfer(v, u, -moved, beta)
+        return moved, rec.beta
 
 
 class TraceRecord(NamedTuple):

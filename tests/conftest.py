@@ -38,3 +38,17 @@ def line_pop(energies):
     n = len(energies)
     edges = [(i, i + 1) for i in range(n - 1)]
     return build_tree(n, edges, list(energies))
+
+
+class Draws:
+    """The ``draws`` a protocol's step reads, with a fixed loss fraction:
+    the generator, the ideal table and the total energy, each as given."""
+
+    def __init__(self, beta=0.0, *, rng=None, table=None, total_energy=None):
+        self.loss = beta
+        self.rng = rng
+        self.table = table
+        self.total_energy = total_energy
+
+    def beta(self):
+        return self.loss

@@ -19,12 +19,12 @@ from enertree.core import (
     strictly_greater,
 )
 from enertree.energy import (
+    DepthTarget,
+    IdealTarget,
+    KappaTransfer,
+    LambdaExchange,
     compute_ideal_energies,
     depth_target,
-    ideal_target_step,
-    k_depth_target_step,
-    kappa_transfer_step,
-    lambda_exchange_step,
 )
 from enertree.estimation import (
     apply_estimation_rules,
@@ -40,7 +40,7 @@ from enertree.harness import ExperimentConfig, replay_trace, run_experiment, run
 from enertree.metrics import line_potential
 from enertree.scheduler import derive_run_seed, make_rng, sample_pair
 
-from conftest import DEMO_EDGES, DEMO_TOTAL, build_tree
+from conftest import DEMO_EDGES, DEMO_TOTAL, Draws, build_tree
 
 MASTER = 42
 SEEDS = 100
@@ -136,19 +136,20 @@ def test_c01_golden_scripted_scenarios():
            f"ideal shares {table.values}")
 
     # targeted exchange on the narrative state (the second node holds 150)
-    e = EnergyState([500.0, 150.0])
-    ideal_target_step(e, 0, 1, compute_ideal_energies(build_tree(2, [(0, 1)]).network, 600.0), 0.0)
+    pop = build_tree(2, [(0, 1)], [500.0, 150.0])
+    IdealTarget().step(pop, 0, 1, Draws(table=compute_ideal_energies(pop.network, 600.0)))
+    e = pop.energy
     _check(failures, abs(e.per_node[0] - 450.0) <= 450.0 * REL
            and abs(e.per_node[1] - 200.0) <= 200.0 * REL,
            f"targeted exchange {e.per_node}")
 
     # ratio-2 exchange and half-transfer on (500, 400)
     e1 = EnergyState([500.0, 400.0])
-    lambda_exchange_step(e1, 0, 1, 2.0, 0.0)
+    LambdaExchange(2.0).edge_step(e1, 0, 1, Draws())
     _check(failures, abs(e1.per_node[0] - 600.0) <= 600.0 * REL
            and abs(e1.per_node[1] - 300.0) <= 300.0 * REL, f"exchange {e1.per_node}")
     e2 = EnergyState([500.0, 400.0])
-    kappa_transfer_step(e2, 0, 1, 0.5, 0.0)
+    KappaTransfer(0.5).edge_step(e2, 0, 1, Draws())
     _check(failures, abs(e2.per_node[0] - 700.0) <= 700.0 * REL
            and abs(e2.per_node[1] - 200.0) <= 200.0 * REL, f"transfer {e2.per_node}")
 
@@ -160,11 +161,12 @@ def test_c01_golden_scripted_scenarios():
     zeta = [depth_target(pop3, v, 2, DEMO_TOTAL) for v in range(5)]
     for got_z, want in zip((zeta[0], zeta[1], zeta[2]), (262.5, 131.25, 65.625)):
         _check(failures, abs(got_z - want) <= want * REL, f"target {got_z} != {want}")
-    k_depth_target_step(pop3, 0, 1, 2, DEMO_TOTAL, 0.0)
+    draws = Draws(total_energy=DEMO_TOTAL)
+    DepthTarget(2).step(pop3, 0, 1, draws)
     _check(failures, abs(pop3.energy.per_node[0] - 468.75) <= 468.75 * REL
            and abs(pop3.energy.per_node[1] - 131.25) <= 131.25 * REL,
            f"local-target move {pop3.energy.per_node[:2]}")
-    moved = k_depth_target_step(pop3, 0, 5, 2, DEMO_TOTAL, 0.0)
+    moved = DepthTarget(2).step(pop3, 0, 5, draws)
     _check(failures, abs(moved - 206.25) <= 206.25 * REL
            and abs(pop3.energy.per_node[0] - 262.5) <= 262.5 * REL,
            f"root absorption moved {moved}, node {pop3.energy.per_node[0]}")
@@ -361,9 +363,9 @@ def test_c07_line_potential_monotone():
                 while phi > tol and steps < budget:
                     u, v = sample_pair(rng, n)
                     if net.parent[v] == u:
-                        lambda_exchange_step(pop.energy, u, v, lam, 0.0)
+                        LambdaExchange(lam).edge_step(pop.energy, u, v, Draws())
                     elif net.parent[u] == v:
-                        lambda_exchange_step(pop.energy, v, u, lam, 0.0)
+                        LambdaExchange(lam).edge_step(pop.energy, v, u, Draws())
                     steps += 1
                     now = line_potential(net, pop.energy, lam)
                     if now > phi + tol:
@@ -438,7 +440,7 @@ def test_c09_cause_transfer_stops_on_relaxed_state():
         if not check_distribution(pop.network, pop.energy, DistributionKind.RELAXED):
             failures.append(f"run {i}: final distribution not relaxed")
         for p, c in pop.network.edges():
-            if kappa_transfer_step(EnergyState(list(pop.energy.per_node)), p, c, 0.5, 0.0):
+            if KappaTransfer(0.5).edge_step(EnergyState(list(pop.energy.per_node)), p, c, Draws()):
                 failures.append(f"run {i}: edge ({p},{c}) can still fire")
     _report("criterion 9 cause: transfer stops on a relaxed state", failures)
 

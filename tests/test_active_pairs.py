@@ -27,7 +27,7 @@ from enertree.formation import (
     snapshot_lines,
 )
 from enertree.harness import ExperimentConfig, replay_trace, run_single
-from enertree.runner import LiveEnergyDriver, RecordedEnergyDriver, simulate
+from enertree.runner import LiveEnergyDriver, simulate
 from enertree.scheduler import InteractionTrace, RandomScheduler, ScriptedScheduler, make_rng
 
 PROTOCOLS = ["ideal", "lambda:2", "rand", "kappa:0.5", "kdepth:2"]
@@ -130,8 +130,7 @@ def _replay(lines, k, records, formation, **kwargs):
     outcome = simulate(
         load_snapshot(lines, arity_bound=k),
         formation=formation,
-        scheduler=ScriptedScheduler([(r.u, r.v) for r in records]),
-        energy_driver=RecordedEnergyDriver(records),
+        scheduler=ScriptedScheduler(records),
         record_metrics=False,
         **kwargs,
     )
@@ -205,7 +204,7 @@ def test_refreshed_mask_is_the_mask_of_the_new_state(data, n, k, protocol, loss,
         before = (d[u], h[u], w[u], d[v], h[v], w[v])
         apply_formation_rule(formation, pop, u, v)
         apply_estimation_rules(pop, u, v)
-        moved, _ = driver.move(pop, u, v, t)
+        moved, _ = driver.move(pop, u, v)
         mask.refresh(u, v, before, moved)
         fresh = ActivePairs(pop, formation, protocol, driver)
         assert (mask.rows, mask.count) == (fresh.rows, fresh.count)
@@ -227,7 +226,7 @@ def test_kdepth_root_rows_only_while_the_root_holds_energy():
     assert all(mask.rows[0]) and pop.energy.per_node[0] > 0.0
     for child in (1, 2):
         before = (d[0], pop.h[0], pop.w[0], d[child], pop.h[child], pop.w[child])
-        moved, _ = driver.move(pop, 0, child, 0)
+        moved, _ = driver.move(pop, 0, child)
         mask.refresh(0, child, before, moved)
     assert pop.energy.per_node[0] == 0.0
     assert not any(mask.rows[0])

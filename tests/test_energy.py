@@ -15,14 +15,8 @@ from enertree.energy import (
     RandExchange,
     compute_ideal_energies,
     depth_target,
-    ideal_target_step,
-    k_depth_target_step,
-    kappa_transfer_step,
-    lambda_exchange_step,
     parse_energy_protocol,
-    rand_exchange_step,
     sample_beta,
-    target_feasible,
 )
 from enertree.errors import DomainError
 from enertree.estimation import true_depths
@@ -33,6 +27,7 @@ from conftest import (
     DEMO_EDGES,
     DEMO_IDEAL,
     DEMO_TOTAL,
+    Draws,
     build_tree,
     star_pop,
 )
@@ -71,22 +66,28 @@ def _table(values):
     return IdealEnergyTable(values=tuple(values), base=0.0, total=math.fsum(values))
 
 
+def _ideal_step(energies, targets, beta=0.0):
+    """One ideal-target interaction of nodes 0 and 1 of a two-node tree:
+    the amount moved and the energy state after it."""
+    pop = build_tree(2, [(0, 1)], energies)
+    moved = IdealTarget().step(pop, 0, 1, Draws(beta, table=_table(targets)))
+    return moved, pop.energy
+
+
 def test_ideal_target_step_narrative_pair():
-    e = EnergyState([500.0, 150.0])
-    moved = ideal_target_step(e, 0, 1, _table([400.0, 200.0]), 0.0)
+    moved, e = _ideal_step([500.0, 150.0], [400.0, 200.0])
     assert moved == pytest.approx(50.0)
     assert e.per_node == pytest.approx([450.0, 200.0])
 
 
 def test_ideal_target_step_noop_at_target():
-    e = EnergyState([400.0, 200.0])
-    assert ideal_target_step(e, 0, 1, _table([400.0, 200.0]), 0.0) == 0.0
+    moved, e = _ideal_step([400.0, 200.0], [400.0, 200.0])
+    assert moved == 0.0
     assert e.per_node == [400.0, 200.0]
 
 
 def test_ideal_target_step_with_loss():
-    e = EnergyState([300.0, 100.0])
-    moved = ideal_target_step(e, 0, 1, _table([200.0, 300.0]), 0.2)
+    moved, e = _ideal_step([300.0, 100.0], [200.0, 300.0], 0.2)
     assert moved == pytest.approx(100.0)
     assert e.per_node[0] == pytest.approx(200.0)
     assert e.per_node[1] == pytest.approx(180.0)
@@ -94,44 +95,54 @@ def test_ideal_target_step_with_loss():
 
 
 def test_ideal_target_step_reverse_direction():
-    e = EnergyState([100.0, 300.0])
-    moved = ideal_target_step(e, 0, 1, _table([200.0, 150.0]), 0.0)
+    moved, e = _ideal_step([100.0, 300.0], [200.0, 150.0])
     assert moved == pytest.approx(-100.0)
     assert e.per_node == pytest.approx([200.0, 200.0])
 
 
 def test_ideal_target_fixed_point_is_idle(demo_pop):
     table = compute_ideal_energies(demo_pop.network, DEMO_TOTAL)
-    e = EnergyState(list(table.values))
+    pop = build_tree(6, DEMO_EDGES, list(table.values))
+    draws = Draws(table=table)
     rng = make_rng(0)
     for _ in range(500):
         u, v = sample_pair(rng, 6)
-        assert ideal_target_step(e, u, v, table, 0.0) == 0.0
-    assert e.per_node == list(table.values)
+        assert IdealTarget().step(pop, u, v, draws) == 0.0
+    assert pop.energy.per_node == list(table.values)
+
+
+def test_targeted_interaction_on_demo_state():
+    # on the six-node demo state, one targeted interaction of nodes 0 and 1
+    # reproduces the textbook surplus-to-deficit move (E2 starts at 150)
+    pop = build_tree(6, DEMO_EDGES, [500.0, 150.0, 100.0, 400.0, 350.0, 600.0])
+    table = compute_ideal_energies(pop.network, pop.energy.total())
+    IdealTarget().step(pop, 0, 1, Draws(table=table))
+    assert pop.energy.per_node[0] == pytest.approx(450.0)
+    assert pop.energy.per_node[1] == pytest.approx(200.0)
 
 
 # ---------------------------------------------------------- lambda-exchange
 def test_lambda_exchange_tops_parent_up():
     e = EnergyState([500.0, 400.0])
-    assert lambda_exchange_step(e, 0, 1, 2.0, 0.0) == pytest.approx(100.0)
+    assert LambdaExchange(2.0).edge_step(e, 0, 1, Draws()) == pytest.approx(100.0)
     assert e.per_node == pytest.approx([600.0, 300.0])
 
 
 def test_lambda_exchange_noop_when_already_relaxed():
     e = EnergyState([500.0, 100.0])
-    assert lambda_exchange_step(e, 0, 1, 2.0, 0.0) == 0.0
+    assert LambdaExchange(2.0).edge_step(e, 0, 1, Draws()) == 0.0
 
 
 def test_lambda_exchange_ratio_three():
     e = EnergyState([100.0, 300.0])
-    assert lambda_exchange_step(e, 0, 1, 3.0, 0.0) == pytest.approx(200.0)
+    assert LambdaExchange(3.0).edge_step(e, 0, 1, Draws()) == pytest.approx(200.0)
     assert e.per_node == pytest.approx([300.0, 100.0])
     assert e.per_node[0] == pytest.approx(3.0 * e.per_node[1])
 
 
 def test_lambda_exchange_with_loss():
     e = EnergyState([0.0, 300.0])
-    moved = lambda_exchange_step(e, 0, 1, 2.0, 0.2)
+    moved = LambdaExchange(2.0).edge_step(e, 0, 1, Draws(0.2))
     assert moved == pytest.approx(200.0)
     assert e.per_node == pytest.approx([160.0, 100.0])
     assert e.lost == pytest.approx(40.0)
@@ -145,7 +156,7 @@ def test_lambda_exchange_with_loss():
 )
 def test_lambda_exchange_lossless_lands_exactly_on_ratio(ep, ec, lam):
     e = EnergyState([ep, ec])
-    moved = lambda_exchange_step(e, 0, 1, lam, 0.0)
+    moved = LambdaExchange(lam).edge_step(e, 0, 1, Draws())
     if moved:
         assert e.per_node[0] == pytest.approx(lam * e.per_node[1], rel=1e-9)
         assert e.per_node[1] >= 0.0
@@ -157,27 +168,27 @@ def test_lambda_exchange_lossless_lands_exactly_on_ratio(ep, ec, lam):
 def test_rand_exchange_degenerate_interval_matches_fixed_ratio():
     e1 = EnergyState([500.0, 400.0])
     e2 = EnergyState([500.0, 400.0])
-    moved1 = rand_exchange_step(e1, 0, 1, make_rng(5), 0.0, 2.0, 2.0)
-    moved2 = lambda_exchange_step(e2, 0, 1, 2.0, 0.0)
+    moved1 = RandExchange(2.0, 2.0).edge_step(e1, 0, 1, Draws(rng=make_rng(5)))
+    moved2 = LambdaExchange(2.0).edge_step(e2, 0, 1, Draws())
     assert moved1 == moved2
     assert e1.per_node == e2.per_node
 
 
 def test_rand_exchange_noop_when_relaxed_for_all_ratios():
     e = EnergyState([500.0, 100.0])
-    rng = make_rng(1)
+    draws = Draws(rng=make_rng(1))
     for _ in range(100):
-        assert rand_exchange_step(e, 0, 1, rng, 0.0) == 0.0
+        assert RandExchange().edge_step(e, 0, 1, draws) == 0.0
 
 
 def test_rand_exchange_ratio_mean():
     # with (E_p, E_c) = (0, 1) the exchange moves x = lam / (lam + 1), so the
     # sampled ratio is recoverable as x / (1 - x)
-    rng = make_rng(77)
+    draws = Draws(rng=make_rng(77))
     ratios = []
     for _ in range(10_000):
         e = EnergyState([0.0, 1.0])
-        x = rand_exchange_step(e, 0, 1, rng, 0.0)
+        x = RandExchange().edge_step(e, 0, 1, draws)
         ratios.append(x / (1.0 - x))
     mean = sum(ratios) / len(ratios)
     assert abs(mean - 2.5) <= 0.02
@@ -187,18 +198,18 @@ def test_rand_exchange_ratio_mean():
 # ------------------------------------------------------------ kappa-transfer
 def test_kappa_transfer_halves_child():
     e = EnergyState([500.0, 400.0])
-    assert kappa_transfer_step(e, 0, 1, 0.5, 0.0) == pytest.approx(200.0)
+    assert KappaTransfer(0.5).edge_step(e, 0, 1, Draws()) == pytest.approx(200.0)
     assert e.per_node == pytest.approx([700.0, 200.0])
 
 
 def test_kappa_transfer_noop_when_relaxed():
     e = EnergyState([500.0, 100.0])
-    assert kappa_transfer_step(e, 0, 1, 0.5, 0.0) == 0.0
+    assert KappaTransfer(0.5).edge_step(e, 0, 1, Draws()) == 0.0
 
 
 def test_kappa_transfer_fraction():
     e = EnergyState([100.0, 100.0])
-    assert kappa_transfer_step(e, 0, 1, 0.3, 0.0) == pytest.approx(30.0)
+    assert KappaTransfer(0.3).edge_step(e, 0, 1, Draws()) == pytest.approx(30.0)
     assert e.per_node == pytest.approx([130.0, 70.0])
 
 
@@ -232,7 +243,7 @@ def test_depth_target_fresh_registers_degenerate():
 
 def test_depth_step_between_non_roots():
     pop = _stabilized_demo()
-    moved = k_depth_target_step(pop, 0, 1, 2, DEMO_TOTAL, 0.0)
+    moved = DepthTarget(2).step(pop, 0, 1, Draws(total_energy=DEMO_TOTAL))
     assert moved == pytest.approx(31.25)
     assert pop.energy.per_node[0] == pytest.approx(468.75)
     assert pop.energy.per_node[1] == pytest.approx(131.25)
@@ -240,8 +251,9 @@ def test_depth_step_between_non_roots():
 
 def test_depth_step_surplus_flows_to_root():
     pop = _stabilized_demo()
-    k_depth_target_step(pop, 0, 1, 2, DEMO_TOTAL, 0.0)
-    moved = k_depth_target_step(pop, 0, 5, 2, DEMO_TOTAL, 0.0)
+    draws = Draws(total_energy=DEMO_TOTAL)
+    DepthTarget(2).step(pop, 0, 1, draws)
+    moved = DepthTarget(2).step(pop, 0, 5, draws)
     assert moved == pytest.approx(206.25)
     assert pop.energy.per_node[0] == pytest.approx(262.5)
     assert pop.energy.per_node[5] == pytest.approx(806.25)
@@ -250,7 +262,7 @@ def test_depth_step_surplus_flows_to_root():
 def test_depth_step_root_pays_clamped_by_its_energy():
     pop = _stabilized_demo([100.0, 131.25, 65.625, 131.25, 262.5, 10.0])
     # node 0 is 162.5 below target; the root only holds 10
-    moved = k_depth_target_step(pop, 5, 0, 2, DEMO_TOTAL, 0.0)
+    moved = DepthTarget(2).step(pop, 5, 0, Draws(total_energy=DEMO_TOTAL))
     assert moved == pytest.approx(10.0)
     assert pop.energy.per_node[5] == 0.0
     assert pop.energy.per_node[0] == pytest.approx(110.0)
@@ -261,13 +273,13 @@ def test_depth_step_two_roots_noop():
     net.add_edge(0, 1)
     net.add_edge(2, 3)
     pop = Population(net, EnergyState([10.0, 1.0, 10.0, 1.0]))
-    assert k_depth_target_step(pop, 0, 2, 2, 22.0, 0.0) == 0.0
+    assert DepthTarget(2).step(pop, 0, 2, Draws(total_energy=22.0)) == 0.0
 
 
 def test_depth_step_loss_hits_receiver_only():
     pop = _stabilized_demo([100.0, 131.25, 65.625, 131.25, 262.5, 500.0])
     before_root = pop.energy.per_node[5]
-    moved = k_depth_target_step(pop, 5, 0, 2, DEMO_TOTAL, 0.25)
+    moved = DepthTarget(2).step(pop, 5, 0, Draws(0.25, total_energy=DEMO_TOTAL))
     assert moved == pytest.approx(162.5)
     assert pop.energy.per_node[5] == pytest.approx(before_root - 162.5)
     assert pop.energy.per_node[0] == pytest.approx(100.0 + 0.75 * 162.5)
@@ -287,7 +299,10 @@ def test_target_feasibility_on_grown_trees():
         depth, height = true_depths(pop.network)
         pop.d = depth
         pop.h = [height] * n
-        assert target_feasible(pop, 2, 1000.0)
+        # the non-root targets sum to less than the total; the root holds the rest
+        root = pop.network.roots()[0]
+        targets = [depth_target(pop, v, 2, 1000.0) for v in range(n) if v != root]
+        assert math.fsum(targets) < 1000.0
 
 
 # ---------------------------------------------------------------- loss model
@@ -327,10 +342,10 @@ def test_beta_clamped():
 )
 def test_steps_never_drive_energy_negative(ep, ec, beta, kappa):
     e = EnergyState([ep, ec])
-    lambda_exchange_step(e, 0, 1, 2.0, beta)
+    LambdaExchange(2.0).edge_step(e, 0, 1, Draws(beta))
     assert all(x >= 0.0 for x in e.per_node)
     e2 = EnergyState([ep, ec])
-    kappa_transfer_step(e2, 0, 1, kappa, beta)
+    KappaTransfer(kappa).edge_step(e2, 0, 1, Draws(beta))
     assert all(x >= 0.0 for x in e2.per_node)
 
 
@@ -343,13 +358,14 @@ def test_conservation_across_random_protocol_mix():
     for _ in range(2000):
         u, v = sample_pair(rng, 6)
         beta = sample_beta(LossModel.normal(0.2, 0.05), rng)
+        draws = Draws(beta, table=table, total_energy=DEMO_TOTAL)
         choice = rng.randrange(3)
         if choice == 0:
-            moved = abs(ideal_target_step(pop.energy, u, v, table, beta))
+            moved = abs(IdealTarget().step(pop, u, v, draws))
         elif choice == 1 and pop.network.parent[v] == u:
-            moved = lambda_exchange_step(pop.energy, u, v, 2.0, beta)
+            moved = LambdaExchange(2.0).edge_step(pop.energy, u, v, draws)
         else:
-            moved = abs(k_depth_target_step(pop, u, v, 2, DEMO_TOTAL, beta))
+            moved = abs(DepthTarget(2).step(pop, u, v, draws))
         lost_expected += beta * moved
     assert pop.energy.lost == pytest.approx(lost_expected, rel=1e-9)
     assert pop.energy.conservation_ok()

@@ -296,7 +296,7 @@ def test_fired_rules_match_classify_oracle():
                 assert other.kind == (NodeKind.INTERNAL if tag == IR else NodeKind.LEAF)
                 assert after_u.kind == after_v.kind == NodeKind.INTERNAL
             elif tag == UW:
-                assert pop.network.is_edge(u, v) or pop.network.is_edge(v, u)
+                assert pop.network.parent[v] == u or pop.network.parent[u] == v
                 assert pop.network.edge_count == edges_before
             else:
                 assert tag == NOOP

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import statistics
@@ -9,13 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from enertree.cli import main as cli_main
-from enertree.energy import IdealTarget
 from enertree.errors import ConfigError, ReplayMismatch
 from enertree.formation import load_snapshot
 from enertree.harness import (
     ExperimentConfig,
     population_stddev,
-    read_runs_csv,
     replay_trace,
     run_experiment,
     run_single,
@@ -23,12 +22,7 @@ from enertree.harness import (
 )
 from enertree.metrics import distribution_distance
 from enertree.runner import simulate
-from enertree.scheduler import (
-    ScriptedScheduler,
-    make_rng,
-    read_trace,
-    write_trace,
-)
+from enertree.scheduler import make_rng, read_trace, write_trace
 
 from conftest import DEMO_EDGES, build_tree
 
@@ -188,23 +182,6 @@ def test_distinct_runs_differ():
     assert a.tau != b.tau or a.outcome.pop.energy.per_node != b.outcome.pop.energy.per_node
 
 
-def test_scripted_targeted_interaction_through_engine():
-    # six-node demo state driven by one scripted pick reproduces the
-    # textbook surplus-to-deficit move (E2 starts at 150)
-    pop = build_tree(6, DEMO_EDGES, [500.0, 150.0, 100.0, 400.0, 350.0, 600.0])
-    depthless = ScriptedScheduler([(0, 1)])
-    outcome = simulate(
-        pop,
-        formation=None,
-        scheduler=depthless,
-        energy_protocol=IdealTarget(),
-        energy_budget=1,
-        window=10,
-    )
-    assert pop.energy.per_node[0] == pytest.approx(450.0)
-    assert pop.energy.per_node[1] == pytest.approx(200.0)
-
-
 def test_concurrent_mode_runs_and_conserves():
     config = ExperimentConfig(
         n=8,
@@ -242,7 +219,8 @@ def test_experiment_aggregate_matches_rows(tmp_path):
         n=6, energy_protocol="lambda:2", repetitions=5, master_seed=11
     )
     summary = run_experiment(config, out_dir=tmp_path)
-    rows = read_runs_csv(tmp_path / "runs.csv")
+    with open(tmp_path / "runs.csv", newline="") as fh:
+        rows = [{k: float(v) for k, v in row.items()} for row in csv.DictReader(fh)]
     assert len(rows) == 5
     stored = json.loads((tmp_path / "summary.json").read_text())
     for name in ("tau", "ed_percent", "loss_percent", "formation_steps"):
@@ -310,6 +288,26 @@ def test_experiment_emits_artifacts(tmp_path):
         assert (tmp_path / f"run_{i}" / "trace.txt").exists()
     header = (tmp_path / "run_0" / "metrics.csv").read_text().splitlines()[0]
     assert header == "step,dd,total_energy,lost"
+
+
+def test_experiment_drops_each_trace_once_written(tmp_path):
+    # A run's records live on in its trace.txt only, which still replays to
+    # the run's digest; without an output directory the traces are kept.
+    config = ExperimentConfig(
+        n=6,
+        protocol="arbitrary",
+        energy_protocol="rand",
+        loss="normal:0.2,0.05",
+        repetitions=3,
+        emit_traces=True,
+        master_seed=4,
+    )
+    summary = run_experiment(config, out_dir=tmp_path)
+    for i, result in enumerate(summary.results):
+        assert result.outcome.trace is None
+        trace = read_trace(tmp_path / f"run_{i}" / "trace.txt")
+        assert replay_trace(trace).digest == trace.final_digest == result.outcome.digest
+    assert all(r.outcome.trace is not None for r in run_experiment(config).results)
 
 
 # -------------------------------------------------------------------- replay

@@ -14,15 +14,13 @@ from enertree.energy import (
     LambdaExchange,
     IdealTarget,
     compute_ideal_energies,
-    lambda_exchange_step,
 )
 from enertree.errors import DomainError
 from enertree.metrics import (
     ConvergenceDetector,
-    detect_convergence,
+    convergence_kind,
     distribution_distance,
     energy_distance,
-    energy_loss_fraction,
     incident_distance,
     line_potential,
 )
@@ -32,6 +30,7 @@ from conftest import (
     DEMO_EDGES,
     DEMO_ENERGIES,
     DEMO_TOTAL,
+    Draws,
     build_tree,
     line_pop,
     star_pop,
@@ -187,9 +186,9 @@ def test_potential_monotone_under_lossless_exchange():
         for _ in range(3000):
             u, v = sample_pair(rng, 5)
             if pop.network.parent[v] == u:
-                lambda_exchange_step(pop.energy, u, v, lam, 0.0)
+                LambdaExchange(lam).edge_step(pop.energy, u, v, Draws())
             elif pop.network.parent[u] == v:
-                lambda_exchange_step(pop.energy, v, u, lam, 0.0)
+                LambdaExchange(lam).edge_step(pop.energy, v, u, Draws())
             now = line_potential(pop.network, pop.energy, lam)
             assert now <= phi + 1e-9 * pop.energy.initial_total
             phi = now
@@ -197,23 +196,32 @@ def test_potential_monotone_under_lossless_exchange():
 
 
 # --------------------------------------------------------------- convergence
+def _detect(protocol, stream, window, horizon):
+    """Feed (dd, moved) per step, from step 0, to the protocol's detector."""
+    detector = ConvergenceDetector(convergence_kind(protocol), window, 0.0, horizon)
+    for step, (dd, moved) in enumerate(stream):
+        if detector.observe(step, dd, moved):
+            break
+    return detector.report()
+
+
 def test_convergence_dd_zero_stream():
     dds = [5.0] * 17 + [0.0, 0.0, 0.0]
     stream = [(dd, 1.0) for dd in dds]
-    report = detect_convergence(LambdaExchange(2.0), stream, window=10)
+    report = _detect(LambdaExchange(2.0), stream, window=10, horizon=len(stream) - 1)
     assert report.converged and report.tau == 17
 
 
 def test_convergence_quiescence_stream():
     # last transfer at step 40, window 100: tau = 40
     stream = [(1.0, 1.0 if 0 < step <= 40 else 0.0) for step in range(200)]
-    report = detect_convergence(IdealTarget(), stream, window=100, horizon=10_000)
+    report = _detect(IdealTarget(), stream, window=100, horizon=10_000)
     assert report.converged and report.tau == 40
 
 
 def test_convergence_budget_exhausted():
     stream = [(5.0, 1.0)] * 50
-    report = detect_convergence(KappaTransfer(0.5), stream, window=10, horizon=49)
+    report = _detect(KappaTransfer(0.5), stream, window=10, horizon=49)
     assert not report.converged
     assert report.tau == 49
 
@@ -227,17 +235,17 @@ def test_detector_tolerance():
 
 def test_quiescence_with_no_moves_at_all():
     stream = [(0.5, 0.0)] * 30
-    report = detect_convergence(IdealTarget(), stream, window=20, horizon=1000)
+    report = _detect(IdealTarget(), stream, window=20, horizon=1000)
     assert report.converged and report.tau == 0
 
 
 # ------------------------------------------------------------- loss fraction
 def test_loss_fraction_lossless():
     e = EnergyState([10.0, 10.0])
-    assert energy_loss_fraction(e) == 0.0
+    assert e.lost / e.initial_total == 0.0
 
 
 def test_loss_fraction_single_transfer():
     e = EnergyState([600.0, 400.0])
     e.transfer(0, 1, 100.0, beta=0.2)
-    assert energy_loss_fraction(e, 1000.0) == pytest.approx(0.02)
+    assert e.lost / 1000.0 == pytest.approx(0.02)

@@ -16,6 +16,8 @@ from enertree.scheduler import (
     write_trace,
 )
 
+from conftest import build_tree
+
 
 def test_sample_pair_rejects_single_node():
     with pytest.raises(DomainError):
@@ -145,11 +147,16 @@ def test_derive_run_seed_spreads():
     assert derive_run_seed(42, 0) != derive_run_seed(43, 0)
 
 
+def _script(pairs):
+    """Idle trace records of the given pairs, one step each."""
+    return [TraceRecord(i, u, v, "NOOP") for i, (u, v) in enumerate(pairs)]
+
+
 def test_scripted_scheduler_skip_plays_the_script():
     # skip stops at the next pair in the mask or at the limit-th pair, as
     # RandomScheduler.skip does, and hands back the pairs it passes over
     script = [(0, 1), (2, 3), (3, 2), (1, 4), (4, 0), (2, 1)]
-    sched = ScriptedScheduler(script)
+    sched = ScriptedScheduler(_script(script))
     mask = RandomScheduler(make_rng(0), 5).pair_mask([(3, 2), (2, 1)])
     handed = []
     assert sched.skip(10, mask, handed) == (3, 3, 2)
@@ -160,7 +167,7 @@ def test_scripted_scheduler_skip_plays_the_script():
 
 
 def test_scripted_scheduler_empty_script_raises():
-    sched = ScriptedScheduler([])
+    sched = ScriptedScheduler(_script([]))
     mask = RandomScheduler(make_rng(0), 2).pair_mask([(0, 1)])
     with pytest.raises(DomainError):
         sched.next_pair()
@@ -175,14 +182,31 @@ def test_scripted_skip_past_the_end_raises():
     script = [(0, 1), (1, 2), (2, 0)]
     mask = RandomScheduler(make_rng(0), 3).pair_mask([(2, 0)])
     none = RandomScheduler(make_rng(0), 3).pair_mask([])
-    assert ScriptedScheduler(script).skip(5, mask) == (3, 2, 0)
-    assert ScriptedScheduler(script).skip(3, none) == (3, 2, 0)
+    assert ScriptedScheduler(_script(script)).skip(5, mask) == (3, 2, 0)
+    assert ScriptedScheduler(_script(script)).skip(3, none) == (3, 2, 0)
     with pytest.raises(DomainError):
-        ScriptedScheduler(script).skip(4, none)
-    sched = ScriptedScheduler(script)
+        ScriptedScheduler(_script(script)).skip(4, none)
+    sched = ScriptedScheduler(_script(script))
     sched.skip(2, none)
     with pytest.raises(DomainError):
         sched.skip(2, none)
+
+
+def test_scripted_scheduler_replays_recorded_moves():
+    # skip stops at a step whose record moved energy, though its pair is not
+    # in the mask; move applies that record's amount and loss fraction
+    records = _script([(0, 1), (1, 2), (2, 0)])
+    records[1] = TraceRecord(1, 1, 2, "LAMBDA", -4.0, 0.25)
+    sched = ScriptedScheduler(records)
+    none = RandomScheduler(make_rng(0), 3).pair_mask([])
+    pop = build_tree(3, [(1, 2)], [10.0, 10.0, 10.0])
+    assert sched.skip(3, none) == (2, 1, 2)
+    assert sched.move(pop, 1, 2) == (-4.0, 0.25)
+    assert pop.energy.per_node == [10.0, 13.0, 6.0]
+    assert pop.energy.lost == 1.0
+    assert sched.next_pair() == (2, 0)
+    assert sched.move(pop, 2, 0) == (0.0, None)
+    assert pop.energy.per_node == [10.0, 13.0, 6.0]
 
 
 def test_read_trace_validates_pairs():
@@ -194,7 +218,7 @@ def test_read_trace_validates_pairs():
 
 
 def test_scripted_scheduler_exhaustion_without_fallback():
-    sched = ScriptedScheduler([(0, 1)])
+    sched = ScriptedScheduler(_script([(0, 1)]))
     sched.next_pair()
     with pytest.raises(DomainError):
         sched.next_pair()
