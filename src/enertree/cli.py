@@ -175,7 +175,7 @@ def _cmd_experiment(args) -> int:
 def _cmd_replay(args) -> int:
     trace = read_trace(args.trace)
     outcome = replay_trace(trace)  # raises ReplayMismatch on digest drift
-    _say(args, f"replay ok: {len(trace.records)} steps, digest={outcome.digest}")
+    _say(args, f"replay ok: {len(trace)} steps, digest={outcome.digest}")
     return 0
 
 

@@ -379,7 +379,7 @@ def replay_trace(trace: InteractionTrace) -> SimOutcome:
     try:
         outcome = simulate(
             pop,
-            scheduler=ScriptedScheduler(trace.records),
+            scheduler=ScriptedScheduler(trace),
             record_metrics=False,
             **config.engine_args(),
         )

@@ -33,7 +33,10 @@ output is unchanged.
 
 A traced run records each skipped step as the step path would: the pair,
 ``UW`` on a tree edge under the k-ary rules (else ``NOOP``), and no move.
-A replay masks only the formation and estimation rules, and its
+The scheduler's ``skip`` appends the pairs it passes over straight onto the
+trace's pair column, and the loop extends the rule column to match; a step
+run in full appends its pair and rule, and its move if it carries one. A
+replay masks only the formation and estimation rules, and its
 scheduler's ``skip`` also stops at each step whose record moved energy, so
 recorded moves are applied verbatim, whatever the trace holds. Once the
 mask is empty nothing can change before the run ends; a live run that
@@ -87,7 +90,6 @@ from .scheduler import (
     InteractionTrace,
     RandomScheduler,
     ScriptedScheduler,
-    TraceRecord,
     skip_matches_sampler,
 )
 
@@ -204,7 +206,8 @@ def simulate(
     Every protocol draw (exchange ratio, loss fraction) comes from the
     scheduler's generator, right after the pair it belongs to; a
     ``ScriptedScheduler`` replays its recorded moves instead. A ``trace``,
-    when given, receives one record per step and the final digest."""
+    when given, must be empty; it receives every step and the final
+    digest."""
     net = pop.network
     n = net.n
     e = pop.energy
@@ -227,6 +230,8 @@ def simulate(
     ):
         if value < 1:
             raise DomainError(f"{name} must be >= 1 (got {value})")
+    if trace is not None and len(trace):
+        raise DomainError("trace steps must be consecutive from 0")  # one run per trace
 
     complete = is_formation_complete(net)
     stabilized = complete and estimation_stabilized(pop)
@@ -258,7 +263,7 @@ def simulate(
     skipping = not validate and (
         replaying or isinstance(scheduler, RandomScheduler) and skip_matches_sampler()
     )
-    drawn: Optional[list] = None if trace is None else []
+    drawn = None if trace is None else trace.pairs
     uw_edges = formation is not None and formation.kind == KARY
     parent = net.parent
 
@@ -331,15 +336,14 @@ def simulate(
             k, u, v = scheduler.skip(stop - t, mask.rows, drawn)
             if moving and not dirty and record_metrics:
                 samples += _quiet_samples(t - t0, t + k - 1 - t0, metric_cadence, dd, e)
-            if drawn:
-                # Record the idle steps as the step path would.
-                rules = (
-                    [UW if parent[x] == y or parent[y] == x else NOOP for x, y in drawn]
-                    if uw_edges
-                    else repeat(NOOP)
-                )
-                trace.extend_idle(drawn, rules)
-                drawn.clear()
+            if drawn is not None and k > 1:
+                # skip put the idle steps' pairs on the trace; add their rules.
+                if uw_edges:
+                    trace.rules += [
+                        UW if parent[x] == y or parent[y] == x else NOOP for x, y in drawn[1 - k :]
+                    ]
+                else:
+                    trace.rules += repeat(NOOP, k - 1)
             skipped += k - 1
             t += k
         else:
@@ -401,8 +405,10 @@ def simulate(
         elif mask is not None:
             mask.refresh(u, v, before, moved)
         if trace is not None:
-            rule = tag if tag != NOOP or not moved else energy_protocol.tag
-            trace.append(TraceRecord(t - 1, u, v, rule, moved or None, beta))
+            trace.pairs.append((u, v))
+            trace.rules.append(tag if tag != NOOP or not moved else energy_protocol.tag)
+            if moved or beta is not None:
+                trace.moves[t - 1] = (moved or None, beta)
 
     if moving and record_metrics and (t - t0) % metric_cadence != 0:
         samples.append(MetricSample(t - t0, distribution_distance(net, e), e.total(), e.lost))

@@ -14,8 +14,9 @@ import hashlib
 import json
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import count, repeat
+from itertools import count, islice
 from pathlib import Path
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -30,6 +31,9 @@ TRACE_MAGIC = "# enertree-trace v1"
 # What a trace record's rule field may hold: a formation rule, or the tag of
 # the energy protocol that moved energy.
 RULE_TAGS = CONNECTING_RULES | {UW, NOOP} | PROTOCOL_TAGS
+
+# The amount moved and loss fraction of a step that carries neither.
+_NO_MOVE = (None, None)
 
 
 def derive_run_seed(master_seed: int, run_index: int) -> int:
@@ -153,46 +157,53 @@ def _skip_agrees(n: int) -> bool:
 
 
 class ScriptedScheduler:
-    """Replays recorded steps: yields each step's pair and applies that
-    step's recorded energy move. Raises DomainError past the last record.
+    """Replays a trace: yields each step's recorded pair and applies that
+    step's recorded energy move. Raises DomainError past the last step.
 
-    Pair orientation is taken verbatim from the records, standing in for the
+    Pair orientation is taken verbatim from the trace, standing in for the
     "either may become the parent" choices of the random scheduler.
     """
 
-    __slots__ = ("records", "pos")
+    __slots__ = ("pairs", "moves", "moved_steps", "pos")
 
-    def __init__(self, records: Sequence["TraceRecord"]):
-        self.records = records
+    def __init__(self, trace: "InteractionTrace"):
+        self.pairs = trace.pairs
+        self.moves = trace.moves
+        # The steps that moved energy, where ``skip`` must stop.
+        self.moved_steps = sorted(step for step, (moved, _) in trace.moves.items() if moved)
         self.pos = 0
 
     def next_pair(self) -> tuple[int, int]:
-        if self.pos >= len(self.records):
+        if self.pos >= len(self.pairs):
             raise DomainError("scripted scheduler exhausted")
-        rec = self.records[self.pos]
+        pair = self.pairs[self.pos]
         self.pos += 1
-        return rec.u, rec.v
+        return pair
 
     def skip(
         self, limit: int, mask: Sequence[bytes], drawn: Optional[list] = None
     ) -> tuple[int, int, int]:
-        """``RandomScheduler.skip`` over the records: the next step whose
-        pair is in ``mask`` or whose record moved energy, or the
-        ``limit``-th, whichever comes first. DomainError if the records end
-        before either."""
-        records = self.records
+        """``RandomScheduler.skip`` over the trace: the next step whose pair
+        is in ``mask`` or that moved energy, or the ``limit``-th, whichever
+        comes first. DomainError if the trace ends before either."""
+        pairs = self.pairs
         start = self.pos
-        for i in range(start, min(start + limit, len(records))):
-            _, u, v, _, moved, _ = records[i]
-            if moved or mask[u][v - (v > u)]:
+        stop = start + limit
+        moved_steps = self.moved_steps
+        j = bisect_left(moved_steps, start)
+        if j < len(moved_steps) and moved_steps[j] < stop:
+            stop = moved_steps[j] + 1
+        for i in range(start, min(stop, len(pairs))):
+            u, v = pairs[i]
+            if mask[u][v - (v > u)]:
                 break
         else:
-            i = start + limit - 1
-            if i >= len(records):
+            i = stop - 1
+            if i >= len(pairs):
                 raise DomainError("scripted scheduler exhausted")
-            _, u, v, *_ = records[i]
+            u, v = pairs[i]
         if drawn is not None:
-            drawn.extend((rec.u, rec.v) for rec in records[start:i])
+            drawn += pairs[start:i]
         self.pos = i + 1
         return i + 1 - start, u, v
 
@@ -200,21 +211,21 @@ class ScriptedScheduler:
         """Apply the recorded signed amount and loss fraction of the step
         whose pair was yielded last, reproducing the original float
         operations bit for bit."""
-        rec = self.records[self.pos - 1]
-        moved = rec.moved
+        moved, beta = self.moves.get(self.pos - 1, _NO_MOVE)
         if not moved:
             return 0.0, None
-        beta = rec.beta if rec.beta is not None else 0.0
+        fraction = 0.0 if beta is None else beta
         if moved > 0:
-            pop.energy.transfer(u, v, moved, beta)
+            pop.energy.transfer(u, v, moved, fraction)
         else:
-            pop.energy.transfer(v, u, -moved, beta)
-        return moved, rec.beta
+            pop.energy.transfer(v, u, -moved, fraction)
+        return moved, beta
 
 
 class TraceRecord(NamedTuple):
-    """One scheduler step: the oriented pair, the rule that fired, and the
-    energy moved (signed: positive = u sent to v) with its loss fraction."""
+    """One scheduler step as a trace line: the oriented pair, the rule that
+    fired, and the energy moved (signed: positive = u sent to v) with its
+    loss fraction. ``parse`` is the reference reader of one line."""
 
     step: int
     u: int
@@ -237,7 +248,7 @@ class TraceRecord(NamedTuple):
             step, u, v, rule, moved, beta = line.split()
             moved = None if moved == "-" else float(moved)
             beta = None if beta == "-" else float(beta)
-            record = _record((int(step), int(u), int(v), rule, moved, beta))
+            record = TraceRecord(int(step), int(u), int(v), rule, moved, beta)
         except ValueError:
             record = None
         if (
@@ -250,42 +261,52 @@ class TraceRecord(NamedTuple):
         return record
 
 
-# Builds a TraceRecord from a tuple of all six fields, without the Python
-# level __new__ of a NamedTuple: the hot path of recording and parsing.
-_record = functools.partial(tuple.__new__, TraceRecord)
-
-
 @dataclass
 class InteractionTrace:
-    """Seeded, replayable record of every scheduler pick and rule firing."""
+    """Seeded, replayable record of every scheduler pick and rule firing,
+    held as columns: each step's pair and rule, and ``{step: (moved,
+    beta)}`` for the few steps that carry either field (``TraceRecord``
+    gives their meaning)."""
 
     seed: int
     config: dict
-    records: list[TraceRecord] = field(default_factory=list)
+    pairs: list[tuple[int, int]] = field(default_factory=list)
+    rules: list[str] = field(default_factory=list)
+    moves: dict[int, tuple[Optional[float], Optional[float]]] = field(default_factory=dict)
     final_digest: Optional[str] = None
 
-    def append(self, record: TraceRecord) -> None:
-        if record.step != len(self.records):
-            raise DomainError("trace steps must be consecutive from 0")
-        self.records.append(record)
+    def __len__(self) -> int:
+        return len(self.pairs)
 
-    def extend_idle(self, pairs: Sequence[tuple[int, int]], rules: Iterable[str]) -> None:
-        """Append the records of idle steps, one per pair and rule, at the
-        next steps: nothing moved."""
-        us, vs = zip(*pairs)
-        self.records += map(
-            _record, zip(count(len(self.records)), us, vs, rules, repeat(None), repeat(None))
-        )
+    @property
+    def records(self) -> list[TraceRecord]:
+        """Every step as a ``TraceRecord``, built on each access."""
+        moves = self.moves
+        return [
+            TraceRecord(step, u, v, rule, *moves.get(step, _NO_MOVE))
+            for step, (u, v), rule in zip(count(), self.pairs, self.rules)
+        ]
+
+    def append(self, record: TraceRecord) -> None:
+        if record.step != len(self.pairs):
+            raise DomainError("trace steps must be consecutive from 0")
+        self.pairs.append((record.u, record.v))
+        self.rules.append(record.rule)
+        if record.moved is not None or record.beta is not None:
+            self.moves[record.step] = (record.moved, record.beta)
 
     def lines(self) -> list[str]:
-        out = [
+        header = [
             TRACE_MAGIC,
             f"# seed={self.seed}",
             "# config=" + json.dumps(self.config, sort_keys=True),
             f"# digest={self.final_digest or '-'}",
         ]
-        out.extend(map(TraceRecord.line, self.records))
-        return out
+        pairs, rules = self.pairs, self.rules
+        body = [f"{step} {u} {v} {rule} - -" for step, (u, v), rule in zip(count(), pairs, rules)]
+        for step, (moved, beta) in self.moves.items():
+            body[step] = TraceRecord(step, *pairs[step], rules[step], moved, beta).line()
+        return header + body
 
 
 def write_trace(trace: InteractionTrace, path: "str | Path") -> None:
@@ -334,35 +355,40 @@ def read_trace(source: "str | Path | Iterable[str]") -> InteractionTrace:
         raise DomainError("trace config must be a JSON object with an integer n")
     digest = header.get("digest", "-")
     trace = InteractionTrace(seed, config, final_digest=None if digest == "-" else digest)
-    # The records, each checked as it is read. Most are idle steps whose
-    # "u v rule - -" tail recurs, so a tail that passed every check once is
-    # looked up rather than parsed again.
-    records = trace.records
+    # The records, each checked as it is read. Most are idle steps written
+    # as "step u v rule - -", whose tail recurs: a line that is exactly the
+    # step and a tail that passed every check once takes that tail's pair
+    # and rule from a table. Every other line is parsed in full.
+    pairs, rules, moves = trace.pairs, trace.rules, trace.moves
+    add_pair, add_rule = pairs.append, rules.append
     idle: dict[str, tuple] = {}
-    for line in lines[body:]:
+    step = 0
+    for line in islice(lines, body, None):
         head, _, tail = line.partition(" ")
         known = idle.get(tail)
-        parsed = known is None or not head.isdecimal()
-        if parsed:
-            try:
-                rec = TraceRecord.parse(line)
-            except DomainError:
-                line = line.strip()
-                if not line:
-                    continue
-                if line.startswith("#"):
-                    raise DomainError(f"unexpected trace header line: {line!r}") from None
-                raise
-        else:
-            rec = _record((int(head), *known))
-        if rec.step != len(records):
+        if known is not None and head == str(step):
+            add_pair(known[0])
+            add_rule(known[1])
+            step += 1
+            continue
+        try:
+            rec = TraceRecord.parse(line)
+        except DomainError:
+            line = line.strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                raise DomainError(f"unexpected trace header line: {line!r}") from None
+            raise
+        if rec.step != step:
             raise DomainError("trace steps must be consecutive from 0")
-        if parsed:
-            if not (0 <= rec.u < n and 0 <= rec.v < n) or rec.u == rec.v:
-                raise DomainError(f"trace step {rec.step}: invalid pair ({rec.u}, {rec.v}) for n={n}")
-            # Only when the step is exactly the first field is the tail the
-            # other five.
-            if rec.moved is None and head == str(rec.step):
-                idle[tail] = rec[1:]
-        records.append(rec)
+        if not (0 <= rec.u < n and 0 <= rec.v < n) or rec.u == rec.v:
+            raise DomainError(f"trace step {step}: invalid pair ({rec.u}, {rec.v}) for n={n}")
+        add_pair((rec.u, rec.v))
+        add_rule(rec.rule)
+        if rec.moved is not None or rec.beta is not None:
+            moves[step] = (rec.moved, rec.beta)
+        elif rec.line() == line:
+            idle[tail] = (pairs[-1], rec.rule)
+        step += 1
     return trace

@@ -498,6 +498,53 @@ def test_c11_lossy_faster(lossless_batches, lossy_batches):
     _report("criterion 11: lossy runs converge faster", failures)
 
 
+def _kdepth_transfers(loss, i):
+    """tau, the steps that moved energy (from the trace) and whether a node
+    other than the root received energy, for run i of criterion 11's
+    kdepth:2 batch."""
+    cfg = ExperimentConfig(n=10, protocol="kary:2", energy_protocol="kdepth:2", loss=loss,
+                           initial_energy="uniform", master_seed=MASTER, repetitions=SEEDS)
+    r = run_single(cfg, i, record_trace=True, record_metrics=False)
+    trace, parent = r.outcome.trace, r.outcome.pop.network.parent
+    moved = [s for s, (amount, _) in trace.moves.items() if amount]
+    # a positive amount went from u to v, a negative one from v to u
+    receivers = [trace.pairs[s][1 if trace.moves[s][0] > 0 else 0] for s in moved]
+    return r.tau, moved, any(parent[x] != -1 for x in receivers)
+
+
+def test_c11_cause_lossy_top_ups_leave_residues():
+    # Why criterion 11 is red for kdepth:2 (README, "Known-red acceptance
+    # checks"): a node below its target receives a top-up less its loss, so
+    # it stays below by that residue and takes further top-ups. Under
+    # uniform initial energy only some trees have such a deficit; on the
+    # others every transfer is a surplus sent to the root, which bears the
+    # loss, so the twins make the same transfers. The top-up runs alone put
+    # the lossy mean tau above the lossless one.
+    failures = []
+    taus = {True: [], False: []}
+    for i in range(SEEDS):
+        tau, moved, topped_up = _kdepth_transfers("lossless", i)
+        lossy_tau, lossy_moved, _ = _kdepth_transfers("normal:0.2,0.05", i)
+        if topped_up:
+            _check(failures, len(lossy_moved) > len(moved),
+                   f"run {i}: {len(lossy_moved)} lossy transfers !> {len(moved)} lossless")
+            _check(failures, lossy_moved[-1] > moved[-1],
+                   f"run {i}: last lossy move at {lossy_moved[-1]} !> {moved[-1]}")
+        else:
+            _check(failures, len(lossy_moved) == len(moved),
+                   f"run {i}: {len(lossy_moved)} lossy transfers != {len(moved)} lossless")
+            taus[False].append((tau, lossy_tau))
+        taus[True].append((tau, lossy_tau))
+    _check(failures, 0 < SEEDS - len(taus[False]) < SEEDS // 10,
+           f"{SEEDS - len(taus[False])} of {SEEDS} runs with a top-up")
+    for all_runs, pairs in taus.items():
+        lossless, lossy = (fmean(column) for column in zip(*pairs))
+        _check(failures, (lossy > lossless) == all_runs,
+               f"{'all' if all_runs else 'no-top-up'} runs: mean tau lossy {lossy:.1f}, "
+               f"lossless {lossless:.1f}")
+    _report("criterion 11 cause: lossy top-ups leave residues", failures)
+
+
 # --------------------------------------------------------------------------
 # criterion 12: non-convergence of the exact-equilibrium variants
 # --------------------------------------------------------------------------

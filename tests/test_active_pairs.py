@@ -109,28 +109,27 @@ def snapshots(draw) -> tuple[list[str], int]:
 
 
 def _simulate(lines, k, seed, traced, validate, formation, **kwargs):
-    """What a run on the snapshot gave, the records of its trace, and
-    whether it ran to the end (rather than raising)."""
+    """What a run on the snapshot gave, its trace, and whether it ran to
+    the end (rather than raising)."""
     pop = load_snapshot(lines, arity_bound=k)
     scheduler = RandomScheduler(make_rng(seed), len(lines))
     trace = InteractionTrace(seed, {}) if traced else None
-    records = trace.records if traced else None
     try:
         outcome = simulate(
             pop, formation=formation, scheduler=scheduler, trace=trace, validate=validate, **kwargs
         )
     except InvariantError as exc:
-        return (repr(exc), scheduler.rng.getstate(), snapshot_digest(pop)), records, False
+        return (repr(exc), scheduler.rng.getstate(), snapshot_digest(pop)), trace, False
     report = (outcome.report, outcome.samples, outcome.formation_steps, outcome.estimation_steps)
-    return (repr(report), outcome.total_steps, outcome.digest), records, True
+    return (repr(report), outcome.total_steps, outcome.digest), trace, True
 
 
-def _replay(lines, k, records, formation, **kwargs):
-    """Final digest and step count of a replay of ``records`` on the snapshot."""
+def _replay(lines, k, trace, formation, **kwargs):
+    """Final digest and step count of a replay of ``trace`` on the snapshot."""
     outcome = simulate(
         load_snapshot(lines, arity_bound=k),
         formation=formation,
-        scheduler=ScriptedScheduler(records),
+        scheduler=ScriptedScheduler(trace),
         record_metrics=False,
         **kwargs,
     )
@@ -162,13 +161,13 @@ def test_skipping_engine_matches_step_path_on_a_snapshot(
         energy_budget=budget, window=window, metric_cadence=cadence,
     )
     fast, _, _ = _simulate(lines, k, seed, False, False, **kwargs)
-    traced, records, _ = _simulate(lines, k, seed, True, False, **kwargs)
-    step, step_records, ended = _simulate(lines, k, seed, True, True, **kwargs)
+    traced, trace, _ = _simulate(lines, k, seed, True, False, **kwargs)
+    step, step_trace, ended = _simulate(lines, k, seed, True, True, **kwargs)
     assert fast == traced == step
-    assert records == step_records
+    assert trace.records == step_trace.records
     if ended:
         _, total_steps, digest = step
-        assert _replay(lines, k, records, **kwargs) == (digest, total_steps)
+        assert _replay(lines, k, trace, **kwargs) == (digest, total_steps)
 
 
 def _settled_tree(draw, n, k, root_energy):

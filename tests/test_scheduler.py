@@ -1,9 +1,13 @@
+import functools
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from enertree.errors import DomainError
+from enertree.harness import ExperimentConfig, replay_trace, run_single
 from enertree.scheduler import (
+    RULE_TAGS,
     InteractionTrace,
     RandomScheduler,
     ScriptedScheduler,
@@ -148,8 +152,8 @@ def test_derive_run_seed_spreads():
 
 
 def _script(pairs):
-    """Idle trace records of the given pairs, one step each."""
-    return [TraceRecord(i, u, v, "NOOP") for i, (u, v) in enumerate(pairs)]
+    """A trace of idle steps at the given pairs, one step each."""
+    return InteractionTrace(0, {}, pairs=list(pairs), rules=["NOOP"] * len(pairs))
 
 
 def test_scripted_scheduler_skip_plays_the_script():
@@ -195,9 +199,10 @@ def test_scripted_skip_past_the_end_raises():
 def test_scripted_scheduler_replays_recorded_moves():
     # skip stops at a step whose record moved energy, though its pair is not
     # in the mask; move applies that record's amount and loss fraction
-    records = _script([(0, 1), (1, 2), (2, 0)])
-    records[1] = TraceRecord(1, 1, 2, "LAMBDA", -4.0, 0.25)
-    sched = ScriptedScheduler(records)
+    trace = _script([(0, 1), (1, 2), (2, 0)])
+    trace.rules[1] = "LAMBDA"
+    trace.moves[1] = (-4.0, 0.25)
+    sched = ScriptedScheduler(trace)
     none = RandomScheduler(make_rng(0), 3).pair_mask([])
     pop = build_tree(3, [(1, 2)], [10.0, 10.0, 10.0])
     assert sched.skip(3, none) == (2, 1, 2)
@@ -285,3 +290,102 @@ def test_trace_record_roundtrip_property():
         assert TraceRecord.parse(rec.line()) == rec
 
     check()
+
+
+# Real traces: k-ary rules (idle tree-edge steps are UW lines) lossless, and
+# arbitrary rules lossy.
+TRACED = {
+    "kary": ExperimentConfig(n=8, protocol="kary:2", energy_protocol="lambda:2", master_seed=3),
+    "arbitrary": ExperimentConfig(n=8, protocol="arbitrary", energy_protocol="ideal",
+                                  loss="normal:0.2,0.05", initial_energy="random", master_seed=3),
+}
+
+
+@functools.cache
+def _trace_lines(name):
+    return tuple(run_single(TRACED[name], 0, record_trace=True).outcome.trace.lines())
+
+
+@pytest.mark.parametrize("name", sorted(TRACED))
+def test_trace_file_round_trips_through_the_reader(tmp_path, name):
+    # Writing a trace that was read gives back the bytes of the file, and
+    # replaying it gives the recorded digest.
+    path, copy = tmp_path / "trace.txt", tmp_path / "copy.txt"
+    path.write_text("\n".join(_trace_lines(name)) + "\n", encoding="ascii")
+    trace = read_trace(path)
+    assert trace.moves and ("UW" in trace.rules) == (name == "kary")
+    write_trace(trace, copy)
+    assert copy.read_bytes() == path.read_bytes()
+    assert replay_trace(trace).digest == trace.final_digest
+
+
+def _per_line(body, n):
+    """The records of a trace body by the reference path, one line at a
+    time: blank lines skipped, ``TraceRecord.parse`` on each other line,
+    steps consecutive from 0, pairs of two nodes in [0, n). Raises the
+    DomainError of the first line it rejects."""
+    records = []
+    for line in body:
+        try:
+            rec = TraceRecord.parse(line)
+        except DomainError:
+            if not line.strip():
+                continue
+            if line.strip().startswith("#"):
+                raise DomainError(f"unexpected trace header line: {line.strip()!r}") from None
+            raise
+        if rec.step != len(records):
+            raise DomainError("trace steps must be consecutive from 0")
+        if not (0 <= rec.u < n and 0 <= rec.v < n) or rec.u == rec.v:
+            raise DomainError(f"trace step {rec.step}: invalid pair ({rec.u}, {rec.v}) for n={n}")
+        records.append(rec)
+    return records
+
+
+@st.composite
+def damaged_traces(draw):
+    """A real trace with one token of a record line replaced (in that line,
+    or in every line with the same tail), or one record line replaced,
+    dropped or repeated."""
+    lines = list(_trace_lines(draw(st.sampled_from(sorted(TRACED)))))
+    i = draw(st.integers(4, len(lines) - 1))
+    step = str(i - 4)
+    tokens = st.one_of(
+        st.sampled_from(sorted(RULE_TAGS) + ["BOGUS", "-", "", " ", "#", "0.5", "-0.0", "nan"]),
+        st.sampled_from([step, "0" + step, "+" + step, str(i - 3), str(i - 5), "-1", "8", "1_0"]),
+        st.integers(-1, 8).map(str),
+        st.sampled_from(lines[4:]).map(str.split).flatmap(st.sampled_from),
+    )
+    damage = draw(st.sampled_from(["token", "tail", "line", "drop", "repeat"]))
+    if damage in ("token", "tail"):
+        j = draw(st.integers(0, len(lines[i].split(" ")) - 1))
+        token = draw(tokens)
+        tail = lines[i].partition(" ")[2]
+        for k in range(i, len(lines) if damage == "tail" else i + 1):
+            if lines[k].partition(" ")[2] == tail:
+                fields = lines[k].split(" ")
+                fields[j] = token
+                lines[k] = " ".join(fields)
+    elif damage == "line":
+        lines[i] = draw(st.sampled_from(lines[4:]) | st.text(" 0123456789-.#NOPUWS\t", max_size=16))
+    elif damage == "drop":
+        del lines[i]
+    else:
+        lines.insert(i, lines[i])
+    return lines
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(damaged_traces())
+def test_read_trace_agrees_with_the_per_line_path(lines):
+    # The reader looks recurring idle tails up in a table; it must accept
+    # exactly what the per-line path accepts, give the same records, and
+    # reject with the same first fault.
+    try:
+        expected = _per_line(lines[4:], 8)
+    except DomainError as exc:
+        with pytest.raises(DomainError) as caught:
+            read_trace(lines)
+        assert str(caught.value) == str(exc)
+    else:
+        assert read_trace(lines).records == expected

@@ -13,12 +13,12 @@ import pytest
 
 from enertree.core import EnergyState, Population, TreeNetwork
 from enertree.energy import IdealTarget, LambdaExchange
-from enertree.errors import InvariantError
+from enertree.errors import DomainError, InvariantError
 from enertree.estimation import true_depths
 from enertree.formation import FormationProtocol
 from enertree.harness import ExperimentConfig, replay_trace, run_single
 from enertree.runner import simulate
-from enertree.scheduler import InteractionTrace, RandomScheduler, make_rng
+from enertree.scheduler import InteractionTrace, RandomScheduler, TraceRecord, make_rng
 
 LOSSY = "normal:0.2,0.05"
 
@@ -185,3 +185,17 @@ def test_diffused_merge_keys_skip():
         assert run.samples == step.samples
         assert run.report == step.report
     assert traced.trace.records == step.trace.records
+
+
+def test_a_trace_takes_one_run_from_step_0():
+    # The engine appends to a trace's columns, keyed by its own steps, so a
+    # trace that already holds steps is refused before anything runs.
+    trace = InteractionTrace(11, {})
+    trace.append(TraceRecord(0, 0, 1, "NOOP"))
+    with pytest.raises(DomainError, match="consecutive"):
+        simulate(
+            _stable_binary_tree([0] * 7), formation=FormationProtocol.kary(2),
+            scheduler=RandomScheduler(make_rng(11), 7), energy_protocol=LambdaExchange(2.0),
+            trace=trace,
+        )
+    assert len(trace) == 1
