@@ -12,7 +12,10 @@ The families, on a completed tree:
 
 * UD (depth) and UW (merge key, k-ary only): a tree edge whose child's
   ``d`` is not its parent's plus one, or whose child's key is not its
-  parent's. An edge-only energy protocol pins every tree edge.
+  parent's.
+* An edge energy protocol: ``lambda`` and ``kappa`` hold a tree edge while
+  their firing predicate holds on it (see ``fire_edges``); ``rand`` pins
+  every tree edge, since it draws its ratio on each edge interaction.
 * UH (height): a pair whose ``max(h, d)`` is not already the ``h`` of both.
   A node is keyed by its ``h`` (by itself alone while its ``d`` exceeds its
   ``h``); two nodes with different keys are active.
@@ -24,8 +27,10 @@ The families, on a completed tree:
   holds energy (see ``track_targets``).
 
 After a step that changed something, ``refresh`` updates only the families
-of the two nodes involved, which is O(n). Over-approximating is safe: a stop
-at an idle pair costs one full step and never changes a byte.
+of the two nodes involved, which is O(n); after a move under ``lambda`` or
+``kappa`` that includes the parent edge and the child edges of each.
+Over-approximating is safe: a stop at an idle pair costs one full step and
+never changes a byte.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ from .formation import KARY, FormationProtocol
 class ActivePairs:
     __slots__ = (
         "rows", "count", "parent", "children", "root", "d", "h", "w", "e",
-        "key", "edge_on", "pinned", "uw", "arity", "captures",
+        "key", "edge_on", "pinned", "fires", "uw", "arity", "captures",
         "targets", "one_way", "side", "above", "below", "buffers",
     )
 
@@ -72,6 +77,7 @@ class ActivePairs:
         self.uw = formation is not None and formation.kind == KARY
         self.arity = formation.k if self.uw else 0
         self.pinned = False
+        self.fires = None
         self.targets: Optional[Sequence[Optional[float]]] = None
         if protocol is not None:
             protocol.mark_active(self, pop, draws)
@@ -87,6 +93,11 @@ class ActivePairs:
     def pin_edges(self) -> None:
         """Keep every tree edge active, in both orientations."""
         self.pinned = True
+
+    def fire_edges(self, fires) -> None:
+        """Keep a tree edge active, in both orientations, while
+        ``fires(e, p, c)`` holds on its parent p and child c."""
+        self.fires = fires
 
     def track_targets(self, targets: Sequence[Optional[float]], one_way: bool) -> None:
         """Pairs of a node strictly above its target and one strictly below
@@ -109,8 +120,9 @@ class ActivePairs:
         ``d, h, w`` of u and then of v as they were before the step."""
         d, h, w = self.d, self.h, self.w
         du, hu, wu, dv, hv, wv = before
+        fired = moved and self.fires is not None
         for x, dx, hx, wx in ((u, du, hu, wu), (v, dv, hv, wv)):
-            if d[x] != dx or w[x] != wx:
+            if fired or d[x] != dx or w[x] != wx:
                 if x != self.root:
                     self._edge(x)
                 for c in self.children[x]:
@@ -138,6 +150,7 @@ class ActivePairs:
             self.pinned
             or self.d[c] != self.d[p] + 1
             or (self.uw and self.w[c] != self.w[p])
+            or (self.fires is not None and self.fires(self.e, p, c))
         )
         if on != self.edge_on[c]:
             self.edge_on[c] = on

@@ -22,13 +22,16 @@ one interaction and returns the signed amount moved (positive when u sent
 to v); the three edge protocols write it as ``edge_step(energy, p, c,
 draws)``, which moves energy from the child c up to the parent p.
 ``mark_active(mask, pop, draws)`` tells an ``ActivePairs`` mask which pairs
-the protocol can act on once the estimates have stabilized, and
-``edge_only`` says whether it can act only on a parent-child pair (which
-decides how its runs converge). ``draws`` supplies what the protocol may
-know beyond the pair: the generator ``rng``, the loss fraction ``beta()``
-(called only when a transfer fires, as the argument of ``transfer``, so an
-idle interaction draws nothing), the ideal ``table`` (None until the tree
-is complete) and ``total_energy``.
+the protocol can act on once the estimates have stabilized: ``lambda`` and
+``kappa`` hand it their firing predicate ``fires(e, p, c)``, the one test
+their ``edge_step`` makes, so the mask holds an edge exactly while a step on
+it would move energy; ``rand`` pins every edge, since it draws its ratio on
+each edge interaction. ``edge_only`` says whether a protocol can act only
+on a parent-child pair (which decides how its runs converge). ``draws``
+supplies what the protocol may know beyond the pair: the generator ``rng``,
+the loss fraction ``beta()`` (called only when a transfer fires, as the
+argument of ``transfer``, so an idle interaction draws nothing), the ideal
+``table`` (None until the tree is complete) and ``total_energy``.
 
 Whenever x units are sent, the receiver gets (1-beta)x and beta*x is
 destroyed. All firing conditions carry a tiny relative slack
@@ -137,7 +140,12 @@ class _EdgeProtocol:
         return 0.0
 
     def mark_active(self, mask, pop: Population, draws) -> None:
-        mask.pin_edges()  # rand draws its ratio on every edge interaction
+        mask.fire_edges(self.fires)
+
+
+def _below_ratio(e, p: int, c: int, lam: float) -> bool:
+    """E_p < lam * E_c, with slack: the condition of every edge protocol."""
+    return strictly_greater(lam * e[c], e[p])
 
 
 def _exchange(energy: EnergyState, p: int, c: int, lam: float, draws) -> float:
@@ -145,9 +153,8 @@ def _exchange(energy: EnergyState, p: int, c: int, lam: float, draws) -> float:
     from child to parent so that, with no loss, the pair lands exactly on
     E_p = lam * E_c. Returns x (0 if idle)."""
     e = energy.per_node
-    ep, ec = e[p], e[c]
-    if strictly_greater(lam * ec, ep):
-        x = (lam * ec - ep) / (lam + 1.0)
+    if _below_ratio(e, p, c, lam):
+        x = (lam * e[c] - e[p]) / (lam + 1.0)
         energy.transfer(c, p, x, draws.beta())
         return x
     return 0.0
@@ -161,6 +168,9 @@ class LambdaExchange(_EdgeProtocol):
     def __post_init__(self):
         if self.lam < 2:
             raise DomainError("exchange ratio must be >= 2")
+
+    def fires(self, e, p: int, c: int) -> bool:
+        return _below_ratio(e, p, c, self.lam)
 
     def edge_step(self, energy: EnergyState, p: int, c: int, draws) -> float:
         return _exchange(energy, p, c, self.lam, draws)
@@ -182,6 +192,9 @@ class RandExchange(_EdgeProtocol):
     def edge_step(self, energy: EnergyState, p: int, c: int, draws) -> float:
         return _exchange(energy, p, c, draws.rng.uniform(self.lo, self.hi), draws)
 
+    def mark_active(self, mask, pop: Population, draws) -> None:
+        mask.pin_edges()  # it draws its ratio on every edge interaction
+
 
 @dataclass(frozen=True)
 class KappaTransfer(_EdgeProtocol):
@@ -195,11 +208,13 @@ class KappaTransfer(_EdgeProtocol):
         if not 0 < self.kappa < 1:
             raise DomainError("transfer fraction must be in (0, 1)")
 
+    def fires(self, e, p: int, c: int) -> bool:
+        return _below_ratio(e, p, c, 2.0)
+
     def edge_step(self, energy: EnergyState, p: int, c: int, draws) -> float:
         e = energy.per_node
-        ep, ec = e[p], e[c]
-        if strictly_greater(2.0 * ec, ep):
-            x = self.kappa * ec
+        if self.fires(e, p, c):
+            x = self.kappa * e[c]
             energy.transfer(c, p, x, draws.beta())
             return x
         return 0.0

@@ -16,24 +16,26 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .core import EnergyState, TreeNetwork
 from .energy import EnergyProtocol, IdealEnergyTable
 from .errors import DomainError
 
 
-def distribution_distance(network: TreeNetwork, energy: EnergyState) -> float:
+def distribution_distance(
+    network: TreeNetwork, energy: EnergyState, edges: Optional[Sequence[tuple[int, int]]] = None
+) -> float:
     """Total energy that must be redistributed to reach a relaxed state;
-    valid on partial networks (sums over existing edges only)."""
+    valid on partial networks (sums over existing edges only). ``edges``,
+    if given, is ``list(network.edges())`` of a network that no longer
+    changes; the sum runs in that order either way."""
     e = energy.per_node
     total = 0.0
-    for p in range(network.n):
-        ep = e[p]
-        for c in network.children[p]:
-            gap = 2.0 * e[c] - ep
-            if gap > 0.0:
-                total += gap
+    for p, c in network.edges() if edges is None else edges:
+        gap = 2.0 * e[c] - e[p]
+        if gap > 0.0:
+            total += gap
     return total
 
 

@@ -24,12 +24,15 @@ register, edge or energy and draws nothing. A run that validates nothing
 keeps the pairs that are not idle in an ``ActivePairs`` mask, in phase A
 after completion and once the energy protocol runs on stable estimates, and
 lets the scheduler's ``skip`` draw through the rest. It runs a step in full
-only at a pair in the mask or at a step that decides something: a
-stabilization probe that will succeed, the metric resync of a dd that
-moved, the quiescence verdict, the end of a phase. A metric sample at a
-cadence step over which nothing moved is appended directly. Everything else
-leaves the same state and the same generator position behind, so every
-output is unchanged.
+only at a pair in the mask. It also stops at a step that decides something:
+a stabilization probe that will succeed, the metric resync of a dd that
+moved, the quiescence verdict, the end of a phase. A live run that stops
+there at a pair outside the mask runs no rule: it only probes, feeds the
+detector, resyncs and samples, and records the pair's idle rule. A metric
+sample at a cadence step over which nothing moved is appended directly.
+Everything else leaves the same state and the same generator position
+behind, so every output is unchanged. Once the tree is complete, a full dd
+sums over its edge list, built once.
 
 A traced run records each skipped step as the step path would: the pair,
 ``UW`` on a tree edge under the k-ary rules (else ``NOOP``), and no move.
@@ -38,7 +41,8 @@ trace's pair column, and the loop extends the rule column to match; a step
 run in full appends its pair and rule, and its move if it carries one. A
 replay masks only the formation and estimation rules, and its
 scheduler's ``skip`` also stops at each step whose record moved energy, so
-recorded moves are applied verbatim, whatever the trace holds. Once the
+recorded moves are applied verbatim, whatever the trace holds; those stops
+are not mask pairs, so a replay runs every stop in full. Once the
 mask is empty nothing can change before the run ends; a live run that
 records no trace then jumps to its verdict without drawing (nothing reads
 the generator after ``simulate``), while a traced run or a replay passes
@@ -234,6 +238,8 @@ def simulate(
         raise DomainError("trace steps must be consecutive from 0")  # one run per trace
 
     complete = is_formation_complete(net)
+    # The edges of a complete tree, which no longer changes: dd sums over them.
+    edges = list(net.edges()) if complete else None
     stabilized = complete and estimation_stabilized(pop)
     unsettled = UnsettledNodes(pop) if complete and not stabilized else None
     formation_steps = 0 if complete else formation_budget
@@ -298,7 +304,7 @@ def simulate(
             moving = True
             t0 = t
             end = t + energy_budget
-            dd = distribution_distance(net, e)
+            dd = distribution_distance(net, e, edges)
             dirty = False  # whether energy moved since dd was last computed in full
             samples = [MetricSample(0, dd, e.total(), e.lost)]
             if complete or kind == QUIESCENCE:
@@ -346,13 +352,19 @@ def simulate(
                     trace.rules += repeat(NOOP, k - 1)
             skipped += k - 1
             t += k
+            # A stop at the limit may be idle: no rule can act on the pair.
+            idle = not replaying and not mask.rows[u][v - (v > u)]
         else:
             u, v = scheduler.next_pair()
             t += 1
-        if mask is not None:
-            before = (d[u], h[u], w[u], d[v], h[v], w[v])
-        tag = apply_formation_rule(formation, pop, u, v) if formation else NOOP
-        apply_estimation_rules(pop, u, v)
+            idle = False
+        if idle:
+            tag = UW if uw_edges and (parent[u] == v or parent[v] == u) else NOOP
+        else:
+            if mask is not None:
+                before = (d[u], h[u], w[u], d[v], h[v], w[v])
+            tag = apply_formation_rule(formation, pop, u, v) if formation else NOOP
+            apply_estimation_rules(pop, u, v)
         probe = remask = False
         if tag in CONNECTING_RULES:
             if moving:
@@ -360,6 +372,7 @@ def simulate(
                 dirty = False
             if not complete and net.edge_count == n - 1 and is_formation_complete(net):
                 complete = remask = True
+                edges = list(net.edges())
                 formation_steps = t
                 unsettled = UnsettledNodes(pop)
                 if driver is not None:
@@ -377,21 +390,24 @@ def simulate(
             stabilized_step = t
         if moving:
             s = t - t0
-            pre = incident_distance(net, e, u, v)
-            moved, beta = driver.move(pop, u, v)
-            if moved:
-                dd += incident_distance(net, e, u, v) - pre
-                if dd < 0.0:
-                    dd = 0.0
-                dirty = True
+            if idle:
+                moved, beta = 0.0, None
+            else:
+                pre = incident_distance(net, e, u, v)
+                moved, beta = driver.move(pop, u, v)
+                if moved:
+                    dd += incident_distance(net, e, u, v) - pre
+                    if dd < 0.0:
+                        dd = 0.0
+                    dirty = True
             if kind == DD_ZERO and complete and dd <= dd_tol:
-                dd = distribution_distance(net, e)  # confirm before declaring
+                dd = distribution_distance(net, e, edges)  # confirm before declaring
                 dirty = False
             if complete or kind == QUIESCENCE:
                 detector.observe(s, dd, moved)
             if s % metric_cadence == 0:
                 if dirty:
-                    dd = distribution_distance(net, e)  # resync any float drift
+                    dd = distribution_distance(net, e, edges)  # resync any float drift
                     dirty = False
                 if record_metrics:
                     samples.append(MetricSample(s, dd, e.total(), e.lost))
@@ -402,7 +418,7 @@ def simulate(
                     raise InvariantError("negative node energy")
         if remask:
             mask = active_pairs()
-        elif mask is not None:
+        elif mask is not None and not idle:
             mask.refresh(u, v, before, moved)
         if trace is not None:
             trace.pairs.append((u, v))
@@ -411,7 +427,7 @@ def simulate(
                 trace.moves[t - 1] = (moved or None, beta)
 
     if moving and record_metrics and (t - t0) % metric_cadence != 0:
-        samples.append(MetricSample(t - t0, distribution_distance(net, e), e.total(), e.lost))
+        samples.append(MetricSample(t - t0, distribution_distance(net, e, edges), e.total(), e.lost))
     outcome = SimOutcome(
         pop=pop,
         completed=complete,

@@ -11,12 +11,22 @@ must end on its digest after the same number of steps.
 
 from __future__ import annotations
 
+import math
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from enertree.active import ActivePairs
-from enertree.core import EnergyState, Population, TreeNetwork
-from enertree.energy import DepthTarget, LossModel, compute_ideal_energies, parse_energy_protocol
+from enertree.core import CONDITION_SLACK, EnergyState, Population, TreeNetwork
+from enertree.energy import (
+    DepthTarget,
+    KappaTransfer,
+    LambdaExchange,
+    LossModel,
+    compute_ideal_energies,
+    parse_energy_protocol,
+)
 from enertree.errors import InvariantError
 from enertree.estimation import apply_estimation_rules, true_depths
 from enertree.formation import (
@@ -29,6 +39,8 @@ from enertree.formation import (
 from enertree.harness import ExperimentConfig, replay_trace, run_single
 from enertree.runner import LiveEnergyDriver, simulate
 from enertree.scheduler import InteractionTrace, RandomScheduler, ScriptedScheduler, make_rng
+
+from conftest import Draws
 
 PROTOCOLS = ["ideal", "lambda:2", "rand", "kappa:0.5", "kdepth:2"]
 LOSSES = ["lossless", "normal:0.2,0.05"]
@@ -231,3 +243,51 @@ def test_kdepth_root_rows_only_while_the_root_holds_energy():
     assert not any(mask.rows[0])
     assert not any(row[0] for row in mask.rows[1:])
     assert mask.count == 0
+
+
+# The deterministic edge rules: each holds an edge in the mask exactly while
+# its firing predicate holds on it, E_p < ratio * E_c with slack.
+EDGE_RULES = [LambdaExchange(2.0), LambdaExchange(3.0), KappaTransfer(0.5)]
+
+
+@st.composite
+def edge_energies(draw) -> tuple[float, float]:
+    """(E_p, E_c) for a parent and its child: arbitrary, or on a ratio's exact
+    or slack boundary (E_p = r * E_c, or r * E_c * (1 - slack)), or one ulp
+    off either."""
+    energy = st.floats(0.0, 1e299, allow_subnormal=False)  # r * E_c stays below MAX_ENERGY
+    ec = draw(energy)
+    r = draw(st.sampled_from([2.0, 3.0]))
+    edge = draw(st.sampled_from([r * ec, r * ec * (1.0 - CONDITION_SLACK)]))
+    near = st.sampled_from([edge, math.nextafter(edge, 0.0), math.nextafter(edge, math.inf)])
+    return draw(energy | near), ec
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.sampled_from(EDGE_RULES), edge_energies(), st.sampled_from([0.0, 0.2]))
+def test_edge_mask_holds_an_edge_exactly_while_its_rule_moves_energy(protocol, energies, beta):
+    ep, ec = energies
+    net = TreeNetwork(2, arity_bound=2)
+    net.add_edge(0, 1)
+    pop = Population(net, EnergyState([ep, ec]), w=[0, 0], d=[0, 1], h=[1, 1], fresh=False)
+    mask = ActivePairs(pop, FormationProtocol.kary(2), protocol, Draws(beta))
+    held = mask.rows[0][0] == mask.rows[1][0] == 1
+    assert mask.count == (2 if held else 0)
+    moved = protocol.edge_step(pop.energy, 0, 1, Draws(beta))
+    assert held == (moved != 0.0) == (pop.energy.per_node != [ep, ec])
+
+
+@pytest.mark.parametrize("protocol", ["lambda:2", "kappa:0.5", "kappa:0.1", "rand"])
+def test_settled_tree_at_the_doubling_ratio_has_no_active_edge(protocol):
+    # A settled binary tree with E_p == 2 * E_c on every edge: neither
+    # lambda:2 nor kappa can fire on any edge, while rand still draws a
+    # ratio on each edge interaction, so it keeps all 2(n - 1) oriented pairs.
+    net = TreeNetwork(15, arity_bound=2)
+    for c in range(1, 15):
+        net.add_edge((c - 1) // 2, c)
+    d, height = true_depths(net)
+    energies = [2.0 ** (height - x) for x in d]
+    pop = Population(net, EnergyState(energies), w=[0] * 15, d=d, h=[height] * 15, fresh=False)
+    mask = ActivePairs(pop, FormationProtocol.kary(2), parse_energy_protocol(protocol),
+                       Draws(rng=make_rng(0)))
+    assert mask.count == (2 * 14 if protocol == "rand" else 0)

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from enertree.core import (
     DistributionKind,
@@ -15,7 +17,9 @@ from enertree.energy import (
     IdealTarget,
     compute_ideal_energies,
 )
+from enertree import runner
 from enertree.errors import DomainError
+from enertree.harness import ExperimentConfig, run_single
 from enertree.metrics import (
     ConvergenceDetector,
     convergence_kind,
@@ -24,7 +28,7 @@ from enertree.metrics import (
     incident_distance,
     line_potential,
 )
-from enertree.scheduler import make_rng, sample_pair
+from enertree.scheduler import RandomScheduler, make_rng, sample_pair
 
 from conftest import (
     DEMO_EDGES,
@@ -87,6 +91,67 @@ def test_dd_zero_iff_relaxed_on_random_states():
         dd = distribution_distance(net, energy)
         relaxed = check_distribution(net, energy, DistributionKind.RELAXED, tol=0.0)
         assert (dd == 0.0) == relaxed
+
+
+def _nested_loop_dd(network, energy):
+    """The distribution distance as a walk over every node's children, in
+    node order: the sum ``distribution_distance`` must reproduce bit for bit."""
+    e = energy.per_node
+    total = 0.0
+    for p in range(network.n):
+        ep = e[p]
+        for c in network.children[p]:
+            gap = 2.0 * e[c] - ep
+            if gap > 0.0:
+                total += gap
+    return total
+
+
+@st.composite
+def forests(draw):
+    """A forest on shuffled labels: each node but the first joins an earlier
+    one with probability ``density`` (so the forest is complete at 1.0), and
+    energies spanning many magnitudes."""
+    n = draw(st.integers(1, 40))
+    labels = draw(st.permutations(range(n)))
+    density = draw(st.sampled_from([1.0, 0.5, 0.9]))
+    net = TreeNetwork(n)
+    for i in range(1, n):
+        if draw(st.floats(0.0, 1.0)) < density:
+            net.add_edge(labels[draw(st.integers(0, i - 1))], labels[i])
+    scale = st.sampled_from([1.0, 1e-9, 1e6])
+    energies = draw(st.lists(st.floats(0.0, 1e3), min_size=n, max_size=n))
+    return net, EnergyState([x * draw(scale) for x in energies])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(forests())
+def test_distribution_distance_is_the_nested_loop_sum_bit_for_bit(forest):
+    net, energy = forest
+    expected = repr(_nested_loop_dd(net, energy))
+    assert repr(distribution_distance(net, energy)) == expected
+    assert repr(distribution_distance(net, energy, list(net.edges()))) == expected
+
+
+def test_the_engine_sums_dd_over_the_tree_edges_in_order(monkeypatch):
+    # Summation order fixes the last bit of dd, and so metrics.csv: every
+    # edge list the engine passes must be the network's own edge order.
+    calls = []
+
+    def spy(network, energy, edges=None):
+        calls.append(edges)
+        assert edges is None or edges == list(network.edges())
+        return distribution_distance(network, energy, edges)
+
+    monkeypatch.setattr(runner, "distribution_distance", spy)
+    # A run that completes its tree, and one that starts on a complete tree.
+    run_single(ExperimentConfig(n=20, energy_protocol="lambda:2", metric_cadence=3), 0)
+    rng = random.Random(3)
+    tree = [(rng.randrange(c), c) for c in range(1, 20)]
+    pop = build_tree(20, tree, [rng.uniform(0, 100) for _ in range(20)])
+    runner.simulate(pop, formation=None, scheduler=RandomScheduler(make_rng(3), 20),
+                    energy_protocol=LambdaExchange(2.0), metric_cadence=3)
+    assert sum(edges is not None for edges in calls) > 2
 
 
 def test_incident_distance_matches_global_delta():

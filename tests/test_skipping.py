@@ -60,12 +60,22 @@ def test_skipping_matches_step_path_concurrent(protocol):
     assert all(o.skipped_steps > 0 for o in outcomes)
 
 
-@pytest.mark.parametrize("cadence", [1, 7, 13])
-def test_skipping_matches_step_path_at_each_cadence(cadence):
-    config = ExperimentConfig(n=13, energy_protocol="lambda:2", loss=LOSSY, metric_cadence=cadence)
+# lambda:2 cases keep their plain cadence ids.
+CADENCE_CASES = [
+    pytest.param(cadence, protocol, id=f"{cadence}" + ("" if protocol == "lambda:2" else f"-{protocol}"))
+    for protocol in ["lambda:2", "kappa:0.5", "ideal"]
+    for cadence in [1, 7, 13]
+]
+
+
+@pytest.mark.parametrize("cadence, protocol", CADENCE_CASES)
+def test_skipping_matches_step_path_at_each_cadence(cadence, protocol):
+    config = ExperimentConfig(n=13, energy_protocol=protocol, loss=LOSSY, metric_cadence=cadence)
     outcomes = assert_same_as_step_path(config)
     # A cadence step stops a skip only when energy moved since the last
-    # full dd, so even cadence 1 skips.
+    # full dd, so even cadence 1 skips. Such a stop, and the quiescence
+    # verdict under ideal, often falls on a pair outside the mask, where a
+    # live run applies no rule.
     assert all(o.skipped_steps > 0 for o in outcomes)
 
 
