@@ -121,16 +121,18 @@ class ActivePairs:
         d, h, w = self.d, self.h, self.w
         du, hu, wu, dv, hv, wv = before
         fired = moved and self.fires is not None
+        edges = set()  # by child: an edge of u and v is tested once
         for x, dx, hx, wx in ((u, du, hu, wu), (v, dv, hv, wv)):
             if fired or d[x] != dx or w[x] != wx:
                 if x != self.root:
-                    self._edge(x)
-                for c in self.children[x]:
-                    self._edge(c)
+                    edges.add(x)
+                edges.update(self.children[x])
                 if self.uw and w[x] != wx:
                     self._capture(x)
             if d[x] != dx or h[x] != hx:
                 self._rekey(x)
+        for c in edges:
+            self._edge(c)
         if moved and self.targets is not None:
             self._side(u)
             self._side(v)

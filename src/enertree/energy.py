@@ -26,8 +26,9 @@ the protocol can act on once the estimates have stabilized: ``lambda`` and
 ``kappa`` hand it their firing predicate ``fires(e, p, c)``, the one test
 their ``edge_step`` makes, so the mask holds an edge exactly while a step on
 it would move energy; ``rand`` pins every edge, since it draws its ratio on
-each edge interaction. ``edge_only`` says whether a protocol can act only
-on a parent-child pair (which decides how its runs converge). ``draws``
+each edge interaction. ``convergence`` says how a run ends: at the first
+zero distribution distance (``DD_ZERO``, the edge protocols) or after a
+window with no move (``QUIESCENCE``, the targeted ones). ``draws``
 supplies what the protocol may know beyond the pair: the generator ``rng``,
 the loss fraction ``beta()`` (called only when a transfer fires, as the
 argument of ``transfer``, so an idle interaction draws nothing), the ideal
@@ -50,6 +51,8 @@ from .errors import DomainError
 from .estimation import true_depths
 
 BETA_CAP = 0.999
+DD_ZERO = "dd_zero"  # the values of a protocol's ``convergence``
+QUIESCENCE = "quiescence"
 
 
 @dataclass(frozen=True)
@@ -101,7 +104,7 @@ class IdealTarget:
     min(surplus, deficit) to the node below its share."""
 
     tag = "IDEAL"
-    edge_only = False
+    convergence = QUIESCENCE
 
     def step(self, pop: Population, u: int, v: int, draws) -> float:
         table = draws.table
@@ -129,7 +132,7 @@ class _EdgeProtocol:
     """Acts only when a parent and its child interact: ``edge_step`` moves
     energy from the child c up to the parent p and returns the amount."""
 
-    edge_only = True
+    convergence = DD_ZERO
 
     def step(self, pop: Population, u: int, v: int, draws) -> float:
         parent = pop.network.parent
@@ -233,7 +236,7 @@ class DepthTarget:
 
     k: int
     tag = "KDEPTH"
-    edge_only = False
+    convergence = QUIESCENCE
 
     def __post_init__(self):
         if self.k < 2:

@@ -188,7 +188,6 @@ def is_formation_complete(network: TreeNetwork) -> bool:
 # Snapshot format: one line per node,
 #   id state parent w d h energy
 # with parent -1 for none and state as the token from NodeState.token().
-SNAPSHOT_COLUMNS = "id state parent w d h energy"
 
 
 def snapshot_lines(pop: Population) -> list[str]:

@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 from .core import EnergyState, TreeNetwork
-from .energy import EnergyProtocol, IdealEnergyTable
+from .energy import DD_ZERO, QUIESCENCE, IdealEnergyTable
 from .errors import DomainError
 
 
@@ -131,17 +131,6 @@ class ConvergenceReport:
     tau: int
     dd_at_tau: float
     converged: bool
-
-
-DD_ZERO = "dd_zero"
-QUIESCENCE = "quiescence"
-
-
-def convergence_kind(protocol: EnergyProtocol) -> str:
-    """Exchange/transfer protocols converge when the distribution distance
-    first hits zero; targeted protocols when no interaction moves energy for
-    a full quiescence window."""
-    return DD_ZERO if protocol.edge_only else QUIESCENCE
 
 
 class ConvergenceDetector:

@@ -1,54 +1,30 @@
 """The per-run simulation engine.
 
 A run advances in discrete steps; each step interacts one scheduler pair.
-Formation and estimation rules are standing rules and fire on every
-interaction (after a tree is complete they reduce to merge-key refreshes
-and idempotent estimate updates). The energy protocol joins either once the
-tree is complete and the estimates have stabilized (two-phase mode) or from
-step 0 (concurrent mode).
+Formation and estimation rules fire on every interaction. The energy
+protocol joins once the tree is complete and the estimates have stabilized
+(two-phase mode), or from step 0 (concurrent mode). One loop runs both
+phases. A run on a ``ScriptedScheduler`` is a replay: it applies each
+step's recorded move in place of the protocol's rule.
 
-One loop runs every step of a run. Before the energy protocol joins
-(phase A) a step applies only the formation and estimation rules; after,
-it also moves energy and feeds the metrics and the convergence detector.
-Tree completion and estimate stabilization are checked in the same place
-for both.
+Once the tree is complete, most pairs are idle: their step changes nothing
+and draws nothing. Unless it validates, a run keeps the other pairs in an
+``ActivePairs`` mask (in phase A after completion, and once the protocol
+runs on stable estimates), and the scheduler's ``skip`` draws through the
+idle pairs up to the next pair in the mask or the limit ``_next_limit``
+sets: the first step that decides something. A live stop at the limit on
+an idle pair runs no rule. Once nothing can change before the limit, a
+live run without a trace jumps there without drawing (nothing reads the
+generator after ``simulate``). Every step passed over leaves the state and
+generator position that the step path leaves, so every output is
+unchanged; a trace records it as the step path would (``_idle_rules``).
 
-The same loop serves live execution and trace replay. A live run draws its
-pairs from a ``RandomScheduler`` and has a ``LiveEnergyDriver`` compute
-each move through the protocol's rule. A run on a ``ScriptedScheduler`` is a
-replay: the scheduler yields each recorded pair and applies that step's
-recorded amount and loss fraction verbatim.
-
-Once the tree is complete, most pairs are idle: their step changes no
-register, edge or energy and draws nothing. A run that validates nothing
-keeps the pairs that are not idle in an ``ActivePairs`` mask, in phase A
-after completion and once the energy protocol runs on stable estimates, and
-lets the scheduler's ``skip`` draw through the rest. It runs a step in full
-only at a pair in the mask. It also stops at a step that decides something:
-a stabilization probe that will succeed, the metric resync of a dd that
-moved, the quiescence verdict, the end of a phase. A live run that stops
-there at a pair outside the mask runs no rule: it only probes, feeds the
-detector, resyncs and samples, and records the pair's idle rule. A metric
-sample at a cadence step over which nothing moved is appended directly.
-Everything else leaves the same state and the same generator position
-behind, so every output is unchanged. Once the tree is complete, a full dd
-sums over its edge list, built once.
-
-A traced run records each skipped step as the step path would: the pair,
-``UW`` on a tree edge under the k-ary rules (else ``NOOP``), and no move.
-The scheduler's ``skip`` appends the pairs it passes over straight onto the
-trace's pair column, and the loop extends the rule column to match; a step
-run in full appends its pair and rule, and its move if it carries one. A
-replay masks only the formation and estimation rules, and its
-scheduler's ``skip`` also stops at each step whose record moved energy, so
-recorded moves are applied verbatim, whatever the trace holds; those stops
-are not mask pairs, so a replay runs every stop in full. Once the
-mask is empty nothing can change before the run ends; a live run that
-records no trace then jumps to its verdict without drawing (nothing reads
-the generator after ``simulate``), while a traced run or a replay passes
-over the same pairs.
-Validation, concurrent mode before stabilization, and an interpreter where
-``RandomScheduler.skip`` differs from the sampler keep the step path.
+A ``_Tally`` keeps the books of the redistribution phase at each stop: the
+distribution distance, the metric samples and the convergence detector's
+feed. A replay masks only the formation and estimation rules, and its
+scheduler also stops at each recorded move. Validation, concurrent mode
+before stabilization, and an interpreter where ``RandomScheduler.skip``
+differs from the sampler keep the step path.
 """
 
 from __future__ import annotations
@@ -60,8 +36,9 @@ from itertools import repeat
 from typing import Optional
 
 from .active import ActivePairs
-from .core import EnergyState, Population
+from .core import Population
 from .energy import (
+    DD_ZERO,
     EnergyProtocol,
     IdealEnergyTable,
     LossModel,
@@ -81,12 +58,9 @@ from .formation import (
     snapshot_digest,
 )
 from .metrics import (
-    DD_ZERO,
-    QUIESCENCE,
     ConvergenceDetector,
     ConvergenceReport,
     MetricSample,
-    convergence_kind,
     distribution_distance,
     incident_distance,
 )
@@ -176,16 +150,137 @@ class SimOutcome:
         return snapshot_digest(self.pop)
 
 
-def _quiet_samples(
-    first: int, last: int, cadence: int, dd: float, energy: EnergyState
-) -> list[MetricSample]:
-    """The metric samples of the cadence steps in (first, last], over which
-    no energy moved and dd was last computed in full."""
-    start = first - first % cadence + cadence
-    if start > last:
-        return []
-    total, lost = energy.total(), energy.lost
-    return [MetricSample(c, dd, total, lost) for c in range(start, last + 1, cadence)]
+def _idle_rules(pairs: list[tuple[int, int]], start: int, parent: list[int], kary: bool):
+    """The rule the step path records at each idle pair from ``start`` on:
+    ``UW`` on a tree edge under the k-ary rules, else ``NOOP``."""
+    if not kary:
+        return repeat(NOOP, len(pairs) - start)
+    return [UW if parent[u] == v or parent[v] == u else NOOP for u, v in pairs[start:]]
+
+
+class _Tally:
+    """The books of the redistribution phase, from its first step ``t0``:
+    the distribution distance ``dd``, updated at each move and recomputed in
+    full (a resync) when an edge joins, at a cadence step after a move
+    (``dirty``), before a dd-zero verdict and at the end; the metric
+    samples; the detector's feed; and the ideal shares of the complete tree."""
+
+    __slots__ = (
+        "pop", "net", "energy", "driver", "detector", "basis_total", "t0", "cadence",
+        "record", "dd_zero", "edges", "ideal", "observing", "dd", "dirty", "samples", "last",
+    )
+
+    def __init__(self, pop: Population, driver, detector: ConvergenceDetector,
+                 basis_total: float, complete: bool, t0: int, cadence: int, record: bool):
+        self.pop, self.net, self.energy = pop, pop.network, pop.energy
+        self.driver, self.detector, self.basis_total = driver, detector, basis_total
+        self.t0, self.cadence, self.record = t0, cadence, record
+        self.last = t0  # the last step run in full, or passed over by a jump
+        self.dd_zero = detector.kind == DD_ZERO
+        self.edges = self.ideal = None
+        self.observing = not self.dd_zero
+        if complete:
+            self.completed()
+        self.samples: list[MetricSample] = []
+        self.resync()
+        self._sample(0)
+        if self.observing:
+            detector.observe(0, self.dd, 0.0)
+        if self.net.n == 1:  # a single node: nothing can ever move
+            detector.force_converged(0, self.dd)
+
+    def completed(self) -> None:
+        """The tree is complete and stays so: dd sums over its edge list, the
+        protocol reads its ideal shares, and a dd-zero detector is fed."""
+        self.edges = list(self.net.edges())
+        self.ideal = compute_ideal_energies(self.net, self.basis_total)
+        if isinstance(self.driver, LiveEnergyDriver):
+            self.driver.table = self.ideal
+        self.observing = True
+
+    def resync(self) -> None:
+        self.dd = distribution_distance(self.net, self.energy, self.edges)
+        self.dirty = False
+
+    def _sample(self, s: int) -> None:
+        e = self.energy
+        self.samples.append(MetricSample(s, self.dd, e.total(), e.lost))
+
+    def _quiet(self, since: int, until: int) -> None:
+        # The samples of the cadence steps after ``since`` up to ``until``,
+        # over which nothing moved: dd is the last full one.
+        first, last = since - self.t0, until - self.t0
+        cadence = self.cadence
+        start = first - first % cadence + cadence
+        if start <= last:
+            e, dd = self.energy, self.dd
+            total, lost = e.total(), e.lost
+            self.samples += [MetricSample(c, dd, total, lost)
+                             for c in range(start, last + 1, cadence)]
+
+    def stop(self, t: int, u: Optional[int] = None, v: Optional[int] = None,
+             joined: bool = False) -> tuple[float, Optional[float]]:
+        """The stop at step t, after the steps skipped since the last one.
+        The energy rule runs on (u, v), after a resync if the step ``joined``
+        an edge to the tree; a stop with no pair is idle. Returns the amount
+        moved and the loss fraction."""
+        if self.record and not self.dirty and t - self.last > 1:
+            self._quiet(self.last, t - 1)
+        self.last = t
+        moved, beta = 0.0, None
+        if u is not None:
+            if joined:
+                self.resync()
+            net, e = self.net, self.energy
+            pre = incident_distance(net, e, u, v)
+            moved, beta = self.driver.move(self.pop, u, v)
+            if moved:
+                dd = self.dd + (incident_distance(net, e, u, v) - pre)
+                self.dd = 0.0 if dd < 0.0 else dd
+                self.dirty = True
+        s = t - self.t0
+        if self.observing:
+            if self.dd_zero and self.dd <= self.detector.dd_tol:
+                self.resync()  # confirm before declaring
+            self.detector.observe(s, self.dd, moved)
+        if s % self.cadence == 0:
+            if self.dirty:
+                self.resync()  # resync any float drift
+            if self.record:
+                self._sample(s)
+        return moved, beta
+
+    def end(self, t: int) -> list[MetricSample]:
+        """The samples, with one at the last step t if it is off the cadence."""
+        s = t - self.t0
+        if self.record and s % self.cadence:
+            self.resync()
+            self._sample(s)
+        return self.samples
+
+
+def _next_limit(t: int, end: int, mask: ActivePairs, tally: Optional[_Tally],
+                unsettled: Optional[UnsettledNodes], formation_steps: int, stab_cadence: int,
+                jumps: bool) -> Optional[tuple[int, bool]]:
+    """How far a skip from step t may run: the phase ``end``, or the first
+    earlier step that decides something (in phase A the stabilization probe
+    once it will succeed; in redistribution the resync of a dd that moved,
+    and the quiescence verdict). Also whether a run that ``jumps`` (live,
+    untraced) may go there without drawing: with nothing to resync and an
+    empty mask, nothing can change before it. None where the step path
+    applies: a dd-zero run within tolerance, whose next step confirms dd."""
+    if tally is None:
+        if unsettled.count == 0:
+            end = min(end, t - (t - formation_steps) % stab_cadence + stab_cadence)
+        return end, False
+    detector = tally.detector
+    if not tally.dd_zero:
+        end = min(end, tally.t0 + detector.last_move + detector.window)
+    elif tally.dd <= detector.dd_tol:
+        return None
+    if tally.dirty:
+        return min(end, t - (t - tally.t0) % tally.cadence + tally.cadence), False
+    return end, jumps and not mask.count
 
 
 def simulate(
@@ -238,8 +333,6 @@ def simulate(
         raise DomainError("trace steps must be consecutive from 0")  # one run per trace
 
     complete = is_formation_complete(net)
-    # The edges of a complete tree, which no longer changes: dd sums over them.
-    edges = list(net.edges()) if complete else None
     stabilized = complete and estimation_stabilized(pop)
     unsettled = UnsettledNodes(pop) if complete and not stabilized else None
     formation_steps = 0 if complete else formation_budget
@@ -249,7 +342,7 @@ def simulate(
         raise DomainError("redistribution on an incomplete network needs a formation protocol")
 
     replaying = isinstance(scheduler, ScriptedScheduler)
-    driver = ideal = basis_total = None
+    driver = basis_total = None
     if energy_protocol is not None:
         basis_total = e.initial_total if target_basis == BASIS_INITIAL else e.total()
         if replaying:
@@ -258,27 +351,23 @@ def simulate(
             # No generator at n=1 (no scheduler): the protocol draws nothing
             rng = getattr(scheduler, "rng", None)
             driver = LiveEnergyDriver(energy_protocol, loss, rng, basis_total)
-        if complete:
-            ideal = compute_ideal_energies(net, basis_total)
-            if not replaying:
-                driver.table = ideal
-        kind = convergence_kind(energy_protocol)
         dd_tol = DD_TOL_FRACTION * basis_total
-        detector = ConvergenceDetector(kind, window, dd_tol, horizon=energy_budget)
+        detector = ConvergenceDetector(energy_protocol.convergence, window, dd_tol, energy_budget)
     # Live runs and replays skip (see the module docstring).
     skipping = not validate and (
         replaying or isinstance(scheduler, RandomScheduler) and skip_matches_sampler()
     )
+    jumps = not replaying and trace is None
     drawn = None if trace is None else trace.pairs
-    uw_edges = formation is not None and formation.kind == KARY
-    parent = net.parent
+    kary = formation is not None and formation.kind == KARY
+    tally: Optional[_Tally] = None  # set once the energy protocol joins
 
     def active_pairs() -> Optional[ActivePairs]:
         # Phase A on a completed tree, or the energy protocol on stable
         # estimates; the step path everywhere else.
-        if not (skipping and complete and stabilized == moving):
+        if not (skipping and complete and stabilized == (tally is not None)):
             return None
-        if moving and not replaying:
+        if tally is not None and not replaying:
             return ActivePairs(pop, formation, energy_protocol, driver)
         return ActivePairs(pop, formation)
 
@@ -286,131 +375,74 @@ def simulate(
     skipped = 0
     # Phase A (two-phase mode only) grows the tree and settles the
     # estimates within formation_budget steps; then the energy protocol
-    # joins (moving) for at most energy_budget steps, from t0 on.
+    # joins for at most energy_budget steps.
     in_phase_a = phase_mode == TWOPHASE and formation is not None and n > 1
     end = formation_budget if in_phase_a else 0
-    moving = False
-    t = t0 = 0
+    t = 0
     moved, beta = 0.0, None
     mask = active_pairs() if in_phase_a else None
     while True:
-        if moving:
+        if tally is not None:
             if detector.decided or t >= end:
                 break
         elif t >= end or stabilized:
             # Phase A is over, or never ran: the energy protocol joins now.
             if driver is None or (phase_mode == TWOPHASE and not complete):
                 break
-            moving = True
-            t0 = t
+            tally = _Tally(pop, driver, detector, basis_total, complete, t, metric_cadence,
+                           record_metrics)
             end = t + energy_budget
-            dd = distribution_distance(net, e, edges)
-            dirty = False  # whether energy moved since dd was last computed in full
-            samples = [MetricSample(0, dd, e.total(), e.lost)]
-            if complete or kind == QUIESCENCE:
-                detector.observe(0, dd, 0.0)
-            if n == 1:  # a single node: nothing can ever move
-                detector.force_converged(0, dd)
             mask = active_pairs()
             continue
 
-        if mask is not None and (not moving or kind == QUIESCENCE or dd > dd_tol):
-            # Run in full only the next pair in the mask, or the step that
-            # decides something: a stabilization probe that will succeed,
-            # the resync of a dd that moved, the quiescence verdict or the
-            # end of the phase.
-            stop = end
-            if not moving:
-                if unsettled.count == 0:
-                    stop = min(stop, t - (t - formation_steps) % stab_cadence + stab_cadence)
-            else:
-                if dirty:
-                    stop = min(stop, t - (t - t0) % metric_cadence + metric_cadence)
-                if kind == QUIESCENCE:
-                    stop = min(stop, t0 + detector.last_move + window)
-                if not replaying and trace is None and not dirty and not mask.count:
-                    # No step can change anything before the run ends: jump
-                    # to the verdict without drawing (a traced run records
-                    # every pair and a replay applies every recorded move,
-                    # so both skip to the verdict instead).
-                    if record_metrics:
-                        samples += _quiet_samples(t - t0, stop - t0, metric_cadence, dd, e)
-                    skipped += stop - t
-                    t = stop
-                    detector.observe(t - t0, dd, 0.0)
-                    continue
-            k, u, v = scheduler.skip(stop - t, mask.rows, drawn)
-            if moving and not dirty and record_metrics:
-                samples += _quiet_samples(t - t0, t + k - 1 - t0, metric_cadence, dd, e)
-            if drawn is not None and k > 1:
-                # skip put the idle steps' pairs on the trace; add their rules.
-                if uw_edges:
-                    trace.rules += [
-                        UW if parent[x] == y or parent[y] == x else NOOP for x, y in drawn[1 - k :]
-                    ]
-                else:
-                    trace.rules += repeat(NOOP, k - 1)
+        limit = None if mask is None else _next_limit(
+            t, end, mask, tally, unsettled, formation_steps, stab_cadence, jumps)
+        if limit is None:
+            u, v = scheduler.next_pair()
+            t += 1
+            idle = False
+        else:
+            until, jump = limit
+            if jump:
+                tally.stop(until)
+                skipped += until - t
+                t = until
+                continue
+            k, u, v = scheduler.skip(until - t, mask.rows, drawn)
             skipped += k - 1
             t += k
             # A stop at the limit may be idle: no rule can act on the pair.
             idle = not replaying and not mask.rows[u][v - (v > u)]
-        else:
-            u, v = scheduler.next_pair()
-            t += 1
-            idle = False
-        if idle:
-            tag = UW if uw_edges and (parent[u] == v or parent[v] == u) else NOOP
-        else:
+            if drawn is not None and (k > 1 or idle):
+                if idle:
+                    drawn.append((u, v))  # recorded as a skipped pair is
+                trace.rules += _idle_rules(drawn, len(trace.rules), net.parent, kary)
+        joined = False
+        if not idle:
             if mask is not None:
                 before = (d[u], h[u], w[u], d[v], h[v], w[v])
             tag = apply_formation_rule(formation, pop, u, v) if formation else NOOP
             apply_estimation_rules(pop, u, v)
+            joined = tag in CONNECTING_RULES
         probe = remask = False
-        if tag in CONNECTING_RULES:
-            if moving:
-                dd = distribution_distance(net, e)  # a new edge joined the sum
-                dirty = False
+        if joined:
             if not complete and net.edge_count == n - 1 and is_formation_complete(net):
                 complete = remask = True
-                edges = list(net.edges())
                 formation_steps = t
                 unsettled = UnsettledNodes(pop)
-                if driver is not None:
-                    ideal = compute_ideal_energies(net, basis_total)
-                    if not replaying:
-                        driver.table = ideal
-                probe = not moving  # phase A probes at once
+                if tally is not None:
+                    tally.completed()
+                probe = tally is None  # phase A probes at once
         elif complete and not stabilized:
             unsettled.update(u, v)
             # Phase A probes every stab_cadence steps counted from
             # formation_steps; later probes are aligned to the absolute step.
-            probe = (t - (0 if moving else formation_steps)) % stab_cadence == 0
+            probe = (t - (formation_steps if tally is None else 0)) % stab_cadence == 0
         if probe and unsettled.count == 0:
             stabilized = remask = True
             stabilized_step = t
-        if moving:
-            s = t - t0
-            if idle:
-                moved, beta = 0.0, None
-            else:
-                pre = incident_distance(net, e, u, v)
-                moved, beta = driver.move(pop, u, v)
-                if moved:
-                    dd += incident_distance(net, e, u, v) - pre
-                    if dd < 0.0:
-                        dd = 0.0
-                    dirty = True
-            if kind == DD_ZERO and complete and dd <= dd_tol:
-                dd = distribution_distance(net, e, edges)  # confirm before declaring
-                dirty = False
-            if complete or kind == QUIESCENCE:
-                detector.observe(s, dd, moved)
-            if s % metric_cadence == 0:
-                if dirty:
-                    dd = distribution_distance(net, e, edges)  # resync any float drift
-                    dirty = False
-                if record_metrics:
-                    samples.append(MetricSample(s, dd, e.total(), e.lost))
+        if tally is not None:
+            moved, beta = tally.stop(t) if idle else tally.stop(t, u, v, joined)
             if validate:
                 if not e.conservation_ok():
                     raise InvariantError("energy conservation violated")
@@ -420,14 +452,12 @@ def simulate(
             mask = active_pairs()
         elif mask is not None and not idle:
             mask.refresh(u, v, before, moved)
-        if trace is not None:
+        if trace is not None and not idle:
             trace.pairs.append((u, v))
             trace.rules.append(tag if tag != NOOP or not moved else energy_protocol.tag)
             if moved or beta is not None:
                 trace.moves[t - 1] = (moved or None, beta)
 
-    if moving and record_metrics and (t - t0) % metric_cadence != 0:
-        samples.append(MetricSample(t - t0, distribution_distance(net, e, edges), e.total(), e.lost))
     outcome = SimOutcome(
         pop=pop,
         completed=complete,
@@ -437,10 +467,10 @@ def simulate(
         total_steps=t,
         skipped_steps=skipped,
     )
-    if moving:
+    if tally is not None:
         outcome.report = detector.report()
-        outcome.samples = samples
-        outcome.ideal = ideal
+        outcome.samples = tally.end(t)
+        outcome.ideal = tally.ideal
         outcome.basis_total = basis_total
     elif driver is not None:
         # Formation never finished; report an unconverged run.

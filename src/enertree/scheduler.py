@@ -24,8 +24,6 @@ from .energy import BETA_CAP, PROTOCOL_TAGS
 from .errors import DomainError
 from .formation import CONNECTING_RULES, NOOP, UW
 
-PRNG_NAME = "python-random-mt19937"
-
 TRACE_MAGIC = "# enertree-trace v1"
 
 # What a trace record's rule field may hold: a formation rule, or the tag of
@@ -79,19 +77,13 @@ class RandomScheduler:
     def next_pair(self) -> tuple[int, int]:
         return sample_pair(self.rng, self.n)
 
-    def pair_mask(self, pairs: Iterable[tuple[int, int]]) -> list[bytes]:
-        """The oriented pairs ``skip`` should stop at, in its own layout:
-        row u, column v as ``randrange(n - 1)`` drew it."""
-        rows = [bytearray(self.n - 1) for _ in range(self.n)]
-        for u, v in pairs:
-            rows[u][v - (v > u)] = 1
-        return [bytes(row) for row in rows]
-
     def skip(
         self, limit: int, mask: Sequence[bytes], drawn: Optional[list] = None
     ) -> tuple[int, int, int]:
-        """Draw pairs until one is in ``mask`` (from ``pair_mask``) or until
-        the ``limit``-th; returns how many were drawn and the last pair.
+        """Draw pairs until one is in ``mask`` or until the ``limit``-th;
+        returns how many were drawn and the last pair. ``mask[u][v - (v >
+        u)]`` is nonzero for the oriented pairs (u, v) to stop at: row u,
+        column v as ``randrange(n - 1)`` drew it.
         With ``drawn``, every pair drawn before the last is appended to it."""
         if drawn is not None:
             return self._skip_recording(limit, mask, drawn)
@@ -144,7 +136,7 @@ def skip_matches_sampler() -> bool:
 def _skip_agrees(n: int) -> bool:
     fast, slow = random.Random(n), random.Random(n)
     scheduler = RandomScheduler(fast, n)
-    none = scheduler.pair_mask([])
+    none = [bytes(n - 1)] * n
     for drawn in (None, []):
         for limit in [1] * 100 + [64, 300]:
             _, u, v = scheduler.skip(limit, none, drawn)
@@ -277,23 +269,6 @@ class InteractionTrace:
 
     def __len__(self) -> int:
         return len(self.pairs)
-
-    @property
-    def records(self) -> list[TraceRecord]:
-        """Every step as a ``TraceRecord``, built on each access."""
-        moves = self.moves
-        return [
-            TraceRecord(step, u, v, rule, *moves.get(step, _NO_MOVE))
-            for step, (u, v), rule in zip(count(), self.pairs, self.rules)
-        ]
-
-    def append(self, record: TraceRecord) -> None:
-        if record.step != len(self.pairs):
-            raise DomainError("trace steps must be consecutive from 0")
-        self.pairs.append((record.u, record.v))
-        self.rules.append(record.rule)
-        if record.moved is not None or record.beta is not None:
-            self.moves[record.step] = (record.moved, record.beta)
 
     def lines(self) -> list[str]:
         header = [

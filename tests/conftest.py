@@ -1,6 +1,7 @@
 import pytest
 
 from enertree.core import EnergyState, Population, TreeNetwork
+from enertree.scheduler import TraceRecord
 
 
 def build_tree(n, edges, energies=None, arity=None, w=None):
@@ -38,6 +39,22 @@ def line_pop(energies):
     n = len(energies)
     edges = [(i, i + 1) for i in range(n - 1)]
     return build_tree(n, edges, list(energies))
+
+
+def records(trace):
+    """Every step of an ``InteractionTrace`` as a ``TraceRecord``."""
+    return [
+        TraceRecord(step, u, v, rule, *trace.moves.get(step, (None, None)))
+        for step, ((u, v), rule) in enumerate(zip(trace.pairs, trace.rules))
+    ]
+
+
+def pair_mask(n, pairs):
+    """A ``skip`` mask over n nodes that stops at the given oriented pairs."""
+    rows = [bytearray(n - 1) for _ in range(n)]
+    for u, v in pairs:
+        rows[u][v - (v > u)] = 1
+    return [bytes(row) for row in rows]
 
 
 class Draws:

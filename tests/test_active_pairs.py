@@ -40,7 +40,7 @@ from enertree.harness import ExperimentConfig, replay_trace, run_single
 from enertree.runner import LiveEnergyDriver, simulate
 from enertree.scheduler import InteractionTrace, RandomScheduler, ScriptedScheduler, make_rng
 
-from conftest import Draws
+from conftest import Draws, records
 
 PROTOCOLS = ["ideal", "lambda:2", "rand", "kappa:0.5", "kdepth:2"]
 LOSSES = ["lossless", "normal:0.2,0.05"]
@@ -82,7 +82,7 @@ def test_skipping_engine_matches_step_path(config):
         assert repr(run.outcome.report) == repr(step.outcome.report)
         assert run.outcome.total_steps == step.outcome.total_steps
         assert run.outcome.digest == step.outcome.digest
-    assert traced.outcome.trace.records == step.outcome.trace.records
+    assert records(traced.outcome.trace) == records(step.outcome.trace)
     replayed = replay_trace(traced.outcome.trace)
     assert replayed.digest == step.outcome.digest
     assert replayed.total_steps == step.outcome.total_steps
@@ -176,7 +176,7 @@ def test_skipping_engine_matches_step_path_on_a_snapshot(
     traced, trace, _ = _simulate(lines, k, seed, True, False, **kwargs)
     step, step_trace, ended = _simulate(lines, k, seed, True, True, **kwargs)
     assert fast == traced == step
-    assert trace.records == step_trace.records
+    assert records(trace) == records(step_trace)
     if ended:
         _, total_steps, digest = step
         assert _replay(lines, k, trace, **kwargs) == (digest, total_steps)

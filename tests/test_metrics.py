@@ -22,7 +22,6 @@ from enertree.errors import DomainError
 from enertree.harness import ExperimentConfig, run_single
 from enertree.metrics import (
     ConvergenceDetector,
-    convergence_kind,
     distribution_distance,
     energy_distance,
     incident_distance,
@@ -263,7 +262,7 @@ def test_potential_monotone_under_lossless_exchange():
 # --------------------------------------------------------------- convergence
 def _detect(protocol, stream, window, horizon):
     """Feed (dd, moved) per step, from step 0, to the protocol's detector."""
-    detector = ConvergenceDetector(convergence_kind(protocol), window, 0.0, horizon)
+    detector = ConvergenceDetector(protocol.convergence, window, 0.0, horizon)
     for step, (dd, moved) in enumerate(stream):
         if detector.observe(step, dd, moved):
             break

@@ -20,7 +20,7 @@ from enertree.scheduler import (
     write_trace,
 )
 
-from conftest import build_tree
+from conftest import build_tree, pair_mask, records
 
 
 def test_sample_pair_rejects_single_node():
@@ -104,7 +104,7 @@ def test_skip_reproduces_sample_pair(n):
     fast, slow = make_rng(n), make_rng(n)
     scheduler = RandomScheduler(fast, n)
     stops = {(u, v) for u, v in [(0, 1), (1, 0), (n - 1, n // 2), (n // 3, 0)] if u != v}
-    mask = scheduler.pair_mask(stops)
+    mask = pair_mask(n, stops)
     limits = [1, 2, 5, 40, 300]
     drawn = 0
     recording = False
@@ -129,7 +129,7 @@ def test_skip_leaves_the_generator_state_of_step_sampling():
     n = 30
     fast, slow = make_rng(8), make_rng(8)
     scheduler = RandomScheduler(fast, n)
-    none = scheduler.pair_mask([])
+    none = pair_mask(n, [])
     for limit in (3, 50, 1):
         fast.gauss(0.2, 0.05)
         slow.gauss(0.2, 0.05)
@@ -161,7 +161,7 @@ def test_scripted_scheduler_skip_plays_the_script():
     # RandomScheduler.skip does, and hands back the pairs it passes over
     script = [(0, 1), (2, 3), (3, 2), (1, 4), (4, 0), (2, 1)]
     sched = ScriptedScheduler(_script(script))
-    mask = RandomScheduler(make_rng(0), 5).pair_mask([(3, 2), (2, 1)])
+    mask = pair_mask(5, [(3, 2), (2, 1)])
     handed = []
     assert sched.skip(10, mask, handed) == (3, 3, 2)
     assert handed == script[:2]
@@ -172,7 +172,7 @@ def test_scripted_scheduler_skip_plays_the_script():
 
 def test_scripted_scheduler_empty_script_raises():
     sched = ScriptedScheduler(_script([]))
-    mask = RandomScheduler(make_rng(0), 2).pair_mask([(0, 1)])
+    mask = pair_mask(2, [(0, 1)])
     with pytest.raises(DomainError):
         sched.next_pair()
     with pytest.raises(DomainError):
@@ -184,8 +184,8 @@ def test_scripted_skip_past_the_end_raises():
     # by step path does when it asks for that pair; one that stops at a
     # pair in the mask within the script does not.
     script = [(0, 1), (1, 2), (2, 0)]
-    mask = RandomScheduler(make_rng(0), 3).pair_mask([(2, 0)])
-    none = RandomScheduler(make_rng(0), 3).pair_mask([])
+    mask = pair_mask(3, [(2, 0)])
+    none = pair_mask(3, [])
     assert ScriptedScheduler(_script(script)).skip(5, mask) == (3, 2, 0)
     assert ScriptedScheduler(_script(script)).skip(3, none) == (3, 2, 0)
     with pytest.raises(DomainError):
@@ -203,7 +203,7 @@ def test_scripted_scheduler_replays_recorded_moves():
     trace.rules[1] = "LAMBDA"
     trace.moves[1] = (-4.0, 0.25)
     sched = ScriptedScheduler(trace)
-    none = RandomScheduler(make_rng(0), 3).pair_mask([])
+    none = pair_mask(3, [])
     pop = build_tree(3, [(1, 2)], [10.0, 10.0, 10.0])
     assert sched.skip(3, none) == (2, 1, 2)
     assert sched.move(pop, 1, 2) == (-4.0, 0.25)
@@ -216,7 +216,7 @@ def test_scripted_scheduler_replays_recorded_moves():
 
 def test_read_trace_validates_pairs():
     header = ["# enertree-trace v1", "# seed=0", '# config={"n": 3}', "# digest=-"]
-    assert len(read_trace(header + ["0 0 1 SS - -"]).records) == 1
+    assert len(read_trace(header + ["0 0 1 SS - -"])) == 1
     for record in ("0 0 0 SS - -", "0 0 9 SS - -", "0 -1 2 SS - -"):
         with pytest.raises(DomainError, match="invalid pair"):
             read_trace(header + [record])
@@ -237,9 +237,8 @@ def test_trace_record_line_roundtrip():
 
 
 def test_trace_file_roundtrip(tmp_path):
-    trace = InteractionTrace(seed=99, config={"n": 3, "protocol": "arbitrary"})
-    trace.append(TraceRecord(0, 0, 1, "SS"))
-    trace.append(TraceRecord(1, 1, 2, "LAMBDA", 5.5, 0.0))
+    trace = InteractionTrace(seed=99, config={"n": 3, "protocol": "arbitrary"},
+                             pairs=[(0, 1), (1, 2)], rules=["SS", "LAMBDA"], moves={1: (5.5, 0.0)})
     trace.final_digest = "ab" * 32
     path = tmp_path / "trace.txt"
     write_trace(trace, path)
@@ -247,7 +246,7 @@ def test_trace_file_roundtrip(tmp_path):
     assert loaded.seed == trace.seed
     assert loaded.config == trace.config
     assert loaded.final_digest == trace.final_digest
-    assert loaded.records == trace.records
+    assert records(loaded) == records(trace)
 
 
 def test_read_trace_checks_a_recurring_record_tail_once():
@@ -257,7 +256,7 @@ def test_read_trace_checks_a_recurring_record_tail_once():
     header = ["# enertree-trace v1", "# seed=0", '# config={"n": 3}', "# digest=-"]
     body = ["0 0 1 NOOP - -", "1 0 1 NOOP - -", "02 0 1 NOOP - -", "3  0 1 NOOP - -",
             "4 0 1 NOOP - 0.5", "5 0 1 NOOP - 0.5", "6 2 1 UW - -", "7 2 1 UW - -"]
-    assert read_trace(header + body).records == [TraceRecord.parse(line) for line in body]
+    assert records(read_trace(header + body)) == [TraceRecord.parse(line) for line in body]
     with pytest.raises(DomainError, match="consecutive"):
         read_trace(header + ["0 0 1 NOOP - -", "2 0 1 NOOP - -"])
     with pytest.raises(DomainError, match="invalid pair"):
@@ -265,13 +264,6 @@ def test_read_trace_checks_a_recurring_record_tail_once():
     # after a line that starts with a blank, its tail holds six fields
     with pytest.raises(DomainError, match="malformed trace record"):
         read_trace(header + [" 0 0 1 NOOP - -", "1 0 0 1 NOOP - -"])
-
-
-def test_trace_requires_consecutive_steps():
-    trace = InteractionTrace(seed=0, config={})
-    trace.append(TraceRecord(0, 0, 1, "SS"))
-    with pytest.raises(DomainError):
-        trace.append(TraceRecord(5, 0, 1, "SS"))
 
 
 def test_trace_record_roundtrip_property():
@@ -388,4 +380,4 @@ def test_read_trace_agrees_with_the_per_line_path(lines):
             read_trace(lines)
         assert str(caught.value) == str(exc)
     else:
-        assert read_trace(lines).records == expected
+        assert records(read_trace(lines)) == expected

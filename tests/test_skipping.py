@@ -18,7 +18,9 @@ from enertree.estimation import true_depths
 from enertree.formation import FormationProtocol
 from enertree.harness import ExperimentConfig, replay_trace, run_single
 from enertree.runner import simulate
-from enertree.scheduler import InteractionTrace, RandomScheduler, TraceRecord, make_rng
+from enertree.scheduler import InteractionTrace, RandomScheduler, make_rng
+
+from conftest import records
 
 LOSSY = "normal:0.2,0.05"
 
@@ -34,7 +36,7 @@ def assert_same_as_step_path(config: ExperimentConfig, runs: int = 2) -> list:
             assert run.row() == step.row()
             assert run.outcome.digest == step.outcome.digest
             assert run.outcome.samples == step.outcome.samples
-        assert traced.outcome.trace.records == step.outcome.trace.records
+        assert records(traced.outcome.trace) == records(step.outcome.trace)
         replayed = replay_trace(traced.outcome.trace)
         assert replayed.digest == step.outcome.trace.final_digest
         assert replayed.total_steps == step.outcome.total_steps
@@ -183,7 +185,7 @@ def test_stale_merge_keys_skip():
     for run in (fast, traced):
         assert run.pop.w == step.pop.w == [0] * 7
         assert (run.digest, run.samples, run.report) == (step.digest, step.samples, step.report)
-    assert traced.trace.records == step.trace.records
+    assert records(traced.trace) == records(step.trace)
 
 
 def test_diffused_merge_keys_skip():
@@ -194,14 +196,13 @@ def test_diffused_merge_keys_skip():
         assert run.digest == step.digest
         assert run.samples == step.samples
         assert run.report == step.report
-    assert traced.trace.records == step.trace.records
+    assert records(traced.trace) == records(step.trace)
 
 
 def test_a_trace_takes_one_run_from_step_0():
     # The engine appends to a trace's columns, keyed by its own steps, so a
     # trace that already holds steps is refused before anything runs.
-    trace = InteractionTrace(11, {})
-    trace.append(TraceRecord(0, 0, 1, "NOOP"))
+    trace = InteractionTrace(11, {}, pairs=[(0, 1)], rules=["NOOP"])
     with pytest.raises(DomainError, match="consecutive"):
         simulate(
             _stable_binary_tree([0] * 7), formation=FormationProtocol.kary(2),
@@ -209,3 +210,36 @@ def test_a_trace_takes_one_run_from_step_0():
             trace=trace,
         )
     assert len(trace) == 1
+
+
+# (total_steps, skipped_steps) of run 0 at n=30 with random energies. The
+# artifacts cannot see a change that stops more often than it needs to (it
+# writes the same bytes, only slower); these counts can.
+PINNED_STOPS = {
+    ("lambda:2", "lossless"): (117_490, 110_926),
+    ("lambda:2", LOSSY): (95_076, 87_546),
+    ("rand", "lossless"): (19_818, 17_930),
+    ("rand", LOSSY): (21_541, 19_525),
+    ("kappa:0.5", "lossless"): (19_200, 18_226),
+    ("kappa:0.5", LOSSY): (17_240, 16_259),
+    ("ideal", "lossless"): (9_814, 9_267),
+    ("ideal", LOSSY): (9_709, 9_127),
+    ("kdepth:2", "lossless"): (10_584, 10_028),
+    ("kdepth:2", LOSSY): (10_486, 9_837),
+}
+
+
+@pytest.mark.parametrize("protocol, loss", list(PINNED_STOPS))
+def test_stop_counts_are_pinned(protocol, loss):
+    config = ExperimentConfig(n=30, energy_protocol=protocol, loss=loss, initial_energy="random")
+    outcome = run_single(config, 0).outcome
+    assert (outcome.total_steps, outcome.skipped_steps) == PINNED_STOPS[protocol, loss]
+
+
+def test_stop_counts_of_a_traced_run_and_its_replay_are_pinned():
+    config = ExperimentConfig(n=30, protocol="arbitrary", energy_protocol="rand", loss=LOSSY,
+                              initial_energy="random")
+    traced = run_single(config, 0, record_trace=True).outcome
+    replayed = replay_trace(traced.trace)
+    assert (traced.total_steps, traced.skipped_steps) == (8_801, 7_574)
+    assert (replayed.total_steps, replayed.skipped_steps) == (8_801, 7_749)
