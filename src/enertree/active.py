@@ -5,8 +5,8 @@ Every other pair is idle: its step changes no register, no edge and no
 energy, and draws nothing from the generator beyond the pair itself. So
 ``RandomScheduler.skip`` may draw through those pairs and the engine runs a
 full step only on a pair in the mask. The rows are in ``skip``'s layout (row
-u, column v as ``randrange(n - 1)`` drew it) and hold, per oriented pair,
-how many rule families claim it; a nonzero entry is a stop.
+u, column v as drawn from [0, n - 1), before the shift past u) and hold, per
+oriented pair, how many rule families claim it; a nonzero entry is a stop.
 
 The families, on a completed tree:
 

@@ -5,8 +5,8 @@ energy protocol over a snapshot), experiment (seeded repetitions from a JSON
 config), replay (re-execute a trace and verify its digest), sweep (cartesian
 parameter grids of experiments).
 
-Exit codes: 0 success, 1 configuration/usage error or malformed input (config,
-snapshot, trace), 2 replay digest mismatch.
+Exit codes: 0 success, 1 configuration/usage error, malformed input (config,
+snapshot, trace) or an unwritable output, 2 replay digest mismatch.
 """
 
 from __future__ import annotations
@@ -27,8 +27,7 @@ from .scheduler import RandomScheduler, make_rng, read_trace
 
 
 class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # exit 1 instead of argparse's default 2
-        self.print_usage(sys.stderr)
+    def error(self, message):  # exit 1 with one line instead of argparse's usage and 2
         raise ConfigError(message)
 
 
@@ -190,10 +189,8 @@ def _parse_grid(specs: list[str]) -> dict[str, list]:
             raw = raw.strip()
             try:
                 parsed.append(json.loads(raw))
-            except json.JSONDecodeError:
+            except ValueError:  # not JSON, or an integer past the digit limit
                 parsed.append(raw)
-        if not parsed:
-            raise ConfigError(f"empty grid for {key}")
         grid[key.strip()] = parsed
     return grid
 
@@ -230,7 +227,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except (ConfigError, DomainError) as exc:
+    except (ConfigError, DomainError, OSError) as exc:  # OSError: an unwritable --out
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ReplayMismatch as exc:

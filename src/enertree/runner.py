@@ -22,9 +22,8 @@ unchanged; a trace records it as the step path would (``_idle_rules``).
 A ``_Tally`` keeps the books of the redistribution phase at each stop: the
 distribution distance, the metric samples and the convergence detector's
 feed. A replay masks only the formation and estimation rules, and its
-scheduler also stops at each recorded move. Validation, concurrent mode
-before stabilization, and an interpreter where ``RandomScheduler.skip``
-differs from the sampler keep the step path.
+scheduler also stops at each recorded move. Validation and concurrent mode
+before stabilization keep the step path.
 """
 
 from __future__ import annotations
@@ -64,12 +63,7 @@ from .metrics import (
     distribution_distance,
     incident_distance,
 )
-from .scheduler import (
-    InteractionTrace,
-    RandomScheduler,
-    ScriptedScheduler,
-    skip_matches_sampler,
-)
+from .scheduler import InteractionTrace, ScriptedScheduler
 
 TWOPHASE = "twophase"
 CONCURRENT = "concurrent"
@@ -354,9 +348,7 @@ def simulate(
         dd_tol = DD_TOL_FRACTION * basis_total
         detector = ConvergenceDetector(energy_protocol.convergence, window, dd_tol, energy_budget)
     # Live runs and replays skip (see the module docstring).
-    skipping = not validate and (
-        replaying or isinstance(scheduler, RandomScheduler) and skip_matches_sampler()
-    )
+    skipping = not validate and scheduler is not None
     jumps = not replaying and trace is None
     drawn = None if trace is None else trace.pairs
     kary = formation is not None and formation.kind == KARY

@@ -1,12 +1,14 @@
-"""Fuzzing the CLI input boundary: a damaged snapshot or config must give
-exit code 0, or exit code 1 with one ``error:`` line, and never a traceback;
-a damaged trace may also give exit code 2 with one ``replay mismatch:``
-line.
+"""Fuzzing the CLI input boundary: a damaged snapshot, config, sweep grid or
+``form`` argument list must give exit code 0, or exit code 1 with one
+``error:`` line, and never a traceback; a damaged trace may also give exit
+code 2 with one ``replay mismatch:`` line.
 
 The inputs are generated locally by Hypothesis from a valid snapshot of
 ``enertree form``, a valid experiment config and real ``trace.txt`` files,
-each with one field, token or line replaced or one parent rewired. Integers
-stay small so that every accepted input is a short run.
+each with one field, token or line replaced or one parent rewired, and from
+grid specs and ``form`` arguments built of good and bad tokens. Integers
+stay small (n <= 8, repetitions <= 2) so that every accepted input is a
+short run.
 """
 
 from __future__ import annotations
@@ -109,6 +111,70 @@ def test_experiment_survives_a_damaged_config(name, value):
         cfg = Path(tmp) / "cfg.json"
         cfg.write_text(json.dumps({**BASE, name: value}))
         _run(["experiment", "--config", str(cfg), "--out", str(Path(tmp) / "out"), "--quiet"])
+
+
+def grid_values(key: str):
+    """Grid values as typed: JSON and not, an integer past the parser's digit
+    limit, and text without digits (a digit string could ask for a large n)."""
+    return st.one_of(
+        st.integers(-2, 2 if key == "repetitions" else 8).map(str),
+        st.floats().map(repr),
+        st.sampled_from(SPECS + ["true", "false", "null", "[1, 2]", '{"n": 3}', '"3"', "NaN",
+                                 "1e400", "9" * 5000, "", " ", "[", "=", ":"]),
+        st.text("abcdkmnoprstuvxyz_:.-+ \"[]{}/", max_size=6),
+    )
+
+
+@st.composite
+def grid_specs(draw) -> list[str]:
+    specs = []
+    for _ in range(draw(st.integers(1, 2))):
+        key = draw(st.sampled_from(FIELDS + ["", " n", "N", "n "]))
+        spec = key + "=" + ",".join(draw(st.lists(grid_values(key), max_size=2)))
+        specs.append(spec if draw(st.integers(0, 9)) else spec.replace("=", ""))
+    if draw(st.booleans()):
+        specs.append(specs[0])
+    return specs
+
+
+@FUZZ
+@given(grid_specs())
+def test_sweep_survives_a_damaged_grid(specs):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "cfg.json"
+        cfg.write_text(json.dumps(BASE))
+        argv = ["sweep", "--config", str(cfg), "--out", str(Path(tmp) / "out"), "--quiet"]
+        for spec in specs:
+            argv += ["--grid", spec]
+        _run(argv)
+
+
+@st.composite
+def form_arguments(draw) -> list[str]:
+    options = {
+        "--n": st.integers(-2, 8).map(str) | st.sampled_from(["", "x", "2.5", "9" * 5000]),
+        "--protocol": st.sampled_from(SPECS + ["kary:0", "kary:9", "kary:-1", "kary:2.5", ""]),
+        "--seed": st.integers(-(2**70), 2**70).map(str) | st.sampled_from(["", "1e3", "9" * 5000]),
+        "--total-energy": st.floats().map(repr) | st.sampled_from(["", "1e-320", "1e301", "-0"]),
+        "--initial-energy": st.sampled_from(["uniform", "random", "", "Random"]),
+        # a file, a directory, and a file in a directory that does not exist
+        "--out": st.sampled_from(["{tmp}/snap.txt", "{tmp}", "{tmp}/missing/snap.txt"]),
+        "--bogus": st.just("1"),
+    }
+    argv = ["form", "--quiet"]
+    for name, values in options.items():
+        # --n (required) nine times in ten, every other option one time in four
+        wanted = draw(st.integers(0, 9)) > 0 if name == "--n" else draw(st.integers(0, 3)) == 0
+        if wanted:
+            argv += [name, draw(values)]
+    return argv
+
+
+@FUZZ
+@given(form_arguments())
+def test_form_survives_damaged_arguments(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        _run([arg.replace("{tmp}", tmp) for arg in argv])
 
 
 def _traces() -> list[list[str]]:
