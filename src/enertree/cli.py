@@ -69,7 +69,7 @@ def _build_parser() -> _Parser:
     p_sw = sub.add_parser("sweep", help="cartesian grid of experiments")
     p_sw.add_argument("--config", required=True)
     p_sw.add_argument("--grid", action="append", default=[],
-                      help="FIELD=V1,V2,... (repeatable)")
+                      help="FIELD=V1,V2,... or a JSON array FIELD=[V1, ...] (once per field)")
     p_sw.add_argument("--out", required=True)
     p_sw.add_argument("--quiet", action="store_true")
 
@@ -178,20 +178,28 @@ def _cmd_replay(args) -> int:
     return 0
 
 
+def _json_or_text(text: str):
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError):  # not JSON, past the digit limit or nested too deep
+        return text
+
+
 def _parse_grid(specs: list[str]) -> dict[str, list]:
     grid: dict[str, list] = {}
     for spec in specs:
         if "=" not in spec:
             raise ConfigError(f"grid spec needs FIELD=V1,V2 (got {spec!r})")
-        key, values = spec.split("=", 1)
-        parsed = []
-        for raw in values.split(","):
-            raw = raw.strip()
-            try:
-                parsed.append(json.loads(raw))
-            except ValueError:  # not JSON, or an integer past the digit limit
-                parsed.append(raw)
-        grid[key.strip()] = parsed
+        key, text = spec.split("=", 1)
+        key = key.strip()
+        if key in grid:
+            raise ConfigError(f"grid field {key!r} given twice")
+        values = _json_or_text(text)
+        if not isinstance(values, list):  # not a JSON array: split on commas
+            values = [_json_or_text(raw.strip()) for raw in text.split(",")]
+        elif not values:
+            raise ConfigError(f"grid field {key!r} has no values")
+        grid[key] = values
     return grid
 
 

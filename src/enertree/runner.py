@@ -11,10 +11,12 @@ Once the tree is complete, most pairs are idle: their step changes nothing
 and draws nothing. Unless it validates, a run keeps the other pairs in an
 ``ActivePairs`` mask (in phase A after completion, and once the protocol
 runs on stable estimates), and the scheduler's ``skip`` draws through the
-idle pairs up to the next pair in the mask or the limit ``_next_limit``
-sets: the first step that decides something. A live stop at the limit on
-an idle pair runs no rule. Once nothing can change before the limit, a
-live run without a trace jumps there without drawing (nothing reads the
+idle pairs up to the next pair in the mask or the limit: the first step
+that decides something. Phase A stops at its end, or at the next
+stabilization probe once no node is unsettled; in redistribution the
+``_Tally`` keeps its next decision step. A live stop at the limit on an
+idle pair runs no rule. Once nothing can change before the limit, a live
+run without a trace jumps there without drawing (nothing reads the
 generator after ``simulate``). Every step passed over leaves the state and
 generator position that the step path leaves, so every output is
 unchanged; a trace records it as the step path would (``_idle_rules``).
@@ -157,11 +159,13 @@ class _Tally:
     the distribution distance ``dd``, updated at each move and recomputed in
     full (a resync) when an edge joins, at a cadence step after a move
     (``dirty``), before a dd-zero verdict and at the end; the metric
-    samples; the detector's feed; and the ideal shares of the complete tree."""
+    samples; the detector's feed; the ideal shares of the complete tree;
+    and ``until``, the first later step that decides something."""
 
     __slots__ = (
         "pop", "net", "energy", "driver", "detector", "basis_total", "t0", "cadence",
         "record", "dd_zero", "edges", "ideal", "observing", "dd", "dirty", "samples", "last",
+        "until",
     )
 
     def __init__(self, pop: Population, driver, detector: ConvergenceDetector,
@@ -177,9 +181,7 @@ class _Tally:
             self.completed()
         self.samples: list[MetricSample] = []
         self.resync()
-        self._sample(0)
-        if self.observing:
-            detector.observe(0, self.dd, 0.0)
+        self.stop(t0)
         if self.net.n == 1:  # a single node: nothing can ever move
             detector.force_converged(0, self.dd)
 
@@ -232,16 +234,25 @@ class _Tally:
                 dd = self.dd + (incident_distance(net, e, u, v) - pre)
                 self.dd = 0.0 if dd < 0.0 else dd
                 self.dirty = True
-        s = t - self.t0
+        t0, detector, cadence = self.t0, self.detector, self.cadence
+        s = t - t0
         if self.observing:
-            if self.dd_zero and self.dd <= self.detector.dd_tol:
+            if self.dd_zero and self.dd <= detector.dd_tol:
                 self.resync()  # confirm before declaring
-            self.detector.observe(s, self.dd, moved)
-        if s % self.cadence == 0:
+            detector.observe(s, self.dd, moved)
+        if s % cadence == 0:
             if self.dirty:
                 self.resync()  # resync any float drift
             if self.record:
                 self._sample(s)
+        until = t0 + detector.horizon  # the budget end, or an earlier step that decides
+        if not self.dd_zero:
+            until = min(until, t0 + detector.last_move + detector.window)
+        elif self.dd <= detector.dd_tol:
+            until = t + 1  # a cadence resync brought dd within tolerance: declare it next
+        if self.dirty:
+            until = min(until, t - s % cadence + cadence)
+        self.until = until
         return moved, beta
 
     def end(self, t: int) -> list[MetricSample]:
@@ -251,30 +262,6 @@ class _Tally:
             self.resync()
             self._sample(s)
         return self.samples
-
-
-def _next_limit(t: int, end: int, mask: ActivePairs, tally: Optional[_Tally],
-                unsettled: Optional[UnsettledNodes], formation_steps: int, stab_cadence: int,
-                jumps: bool) -> Optional[tuple[int, bool]]:
-    """How far a skip from step t may run: the phase ``end``, or the first
-    earlier step that decides something (in phase A the stabilization probe
-    once it will succeed; in redistribution the resync of a dd that moved,
-    and the quiescence verdict). Also whether a run that ``jumps`` (live,
-    untraced) may go there without drawing: with nothing to resync and an
-    empty mask, nothing can change before it. None where the step path
-    applies: a dd-zero run within tolerance, whose next step confirms dd."""
-    if tally is None:
-        if unsettled.count == 0:
-            end = min(end, t - (t - formation_steps) % stab_cadence + stab_cadence)
-        return end, False
-    detector = tally.detector
-    if not tally.dd_zero:
-        end = min(end, tally.t0 + detector.last_move + detector.window)
-    elif tally.dd <= detector.dd_tol:
-        return None
-    if tally.dirty:
-        return min(end, t - (t - tally.t0) % tally.cadence + tally.cadence), False
-    return end, jumps and not mask.count
 
 
 def simulate(
@@ -387,19 +374,22 @@ def simulate(
             mask = active_pairs()
             continue
 
-        limit = None if mask is None else _next_limit(
-            t, end, mask, tally, unsettled, formation_steps, stab_cadence, jumps)
-        if limit is None:
+        if mask is None:
             u, v = scheduler.next_pair()
             t += 1
             idle = False
         else:
-            until, jump = limit
-            if jump:
-                tally.stop(until)
-                skipped += until - t
-                t = until
-                continue
+            if tally is not None:
+                until = tally.until
+                if jumps and not tally.dirty and not mask.count:
+                    tally.stop(until)
+                    skipped += until - t
+                    t = until
+                    continue
+            elif unsettled.count:
+                until = end
+            else:  # phase A's next stabilization probe
+                until = min(end, t - (t - formation_steps) % stab_cadence + stab_cadence)
             k, u, v = scheduler.skip(until - t, mask.rows, drawn)
             skipped += k - 1
             t += k

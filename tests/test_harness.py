@@ -21,10 +21,10 @@ from enertree.harness import (
     split_initial_energy,
 )
 from enertree.metrics import distribution_distance
-from enertree.runner import simulate
+from enertree.runner import default_budget, simulate
 from enertree.scheduler import make_rng, read_trace, write_trace
 
-from conftest import DEMO_EDGES, build_tree
+from conftest import DEMO_EDGES, DEMO_ENERGIES, build_tree
 
 
 # ------------------------------------------------------------- configuration
@@ -472,6 +472,84 @@ def test_cli_sweep(tmp_path):
     assert len(dirs) == 2
     for d in dirs:
         assert (out / d / "summary.json").exists()
+
+
+def test_cli_sweep_takes_a_json_array_of_values_with_commas(tmp_path):
+    # each sweep directory holds the runs.csv of an experiment on its config
+    base = {"n": 6, "repetitions": 2, "energy_protocol": "ideal"}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(base))
+    out = tmp_path / "sweep"
+    rc = cli_main(["sweep", "--config", str(cfg), "--grid", 'loss=["lossless", "normal:0.2,0.05"]',
+                   "--out", str(out), "--quiet"])
+    assert rc == 0
+    assert sorted(p.name for p in out.iterdir()) == ["loss=lossless", "loss=normal-0.2,0.05"]
+    for loss in ("lossless", "normal:0.2,0.05"):
+        one = tmp_path / f"{loss}.json"
+        one.write_text(json.dumps({**base, "loss": loss}))
+        assert cli_main(["experiment", "--config", str(one), "--out", str(tmp_path / loss),
+                         "--quiet"]) == 0
+        expected = (tmp_path / loss / "runs.csv").read_bytes()
+        assert (out / f"loss={loss.replace(':', '-')}" / "runs.csv").read_bytes() == expected
+
+
+@pytest.mark.parametrize("grids, message", [
+    (["n=2", "n=3"], "grid field 'n' given twice"),
+    (["n=2", " n =3"], "grid field 'n' given twice"),
+    (["n=[]"], "grid field 'n' has no values"),
+    (["n=" + "[" * 100_000], "n must be an integer"),  # json.loads raises RecursionError
+])
+def test_cli_sweep_rejects_a_bad_grid_with_one_error_line(tmp_path, capsys, grids, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 5, "repetitions": 1}))
+    argv = ["sweep", "--config", str(cfg), "--out", str(tmp_path / "sweep"), "--quiet"]
+    for grid in grids:
+        argv += ["--grid", grid]
+    assert cli_main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+    assert not (tmp_path / "sweep").exists()
+
+
+def test_no_metric_samples_with_recording_off():
+    # the redistribution's first stop samples step 0 only when it records
+    config = ExperimentConfig(n=6, energy_protocol="lambda:2", loss="normal:0.2,0.05")
+    live = run_single(config, 0, record_trace=True)
+    assert live.outcome.samples == []
+    assert replay_trace(live.outcome.trace).samples == []
+    recorded = run_single(config, 0, record_metrics=True)
+    assert recorded.outcome.samples[0].step == 0
+
+
+def test_dd_zero_verdict_after_a_cadence_resync_matches_step_path(monkeypatch):
+    # Every move overstates the running dd by 1.0, so dd falls within
+    # tolerance only at the full recomputation of a cadence step; the skip
+    # must then stop at the next step, where the step path declares it.
+    from enertree import runner
+    from enertree.energy import LambdaExchange
+    from enertree.scheduler import RandomScheduler
+
+    exact = runner.incident_distance
+    calls = [0]
+
+    def drifting(net, energy, u, v):
+        calls[0] += 1
+        return exact(net, energy, u, v) + calls[0]
+
+    monkeypatch.setattr(runner, "incident_distance", drifting)
+    outcomes = []
+    for validate in (False, True):
+        calls[0] = 0
+        pop = build_tree(6, DEMO_EDGES, list(DEMO_ENERGIES))
+        outcomes.append(simulate(pop, formation=None, scheduler=RandomScheduler(make_rng(0), 6),
+                                 energy_protocol=LambdaExchange(2.0), metric_cadence=7,
+                                 validate=validate))
+    skipping, step = outcomes
+    assert skipping.skipped_steps > 0
+    assert step.report.converged and step.report.tau < default_budget(6)
+    assert skipping.report == step.report
+    assert skipping.total_steps == step.total_steps
+    assert skipping.samples == step.samples
 
 
 def test_budget_exhaustion_reports_unconverged_row():
