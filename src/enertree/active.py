@@ -16,15 +16,20 @@ The families, on a completed tree:
 * An edge energy protocol: ``lambda`` and ``kappa`` hold a tree edge while
   their firing predicate holds on it (see ``fire_edges``); ``rand`` pins
   every tree edge, since it draws its ratio on each edge interaction.
-* UH (height): a pair whose ``max(h, d)`` is not already the ``h`` of both.
-  A node is keyed by its ``h`` (by itself alone while its ``d`` exceeds its
-  ``h``); two nodes with different keys are active.
-* k-ary root capture: the root and a node keyed below it that has room for
-  a child and is not the root's child. The step on such a pair raises, as
-  it does on the step path.
+* UH (height): nodes whose ``h`` differ.
 * A targeted energy protocol: nodes above and below their targets, by the
   protocols' own ``strictly_greater`` test, and a buffer node while it
   holds energy (see ``track_targets``).
+
+The mask covers only the states the rules reach from fresh registers and
+merge keys (``reachable``): every ``d`` is at most its ``h``, and under the
+k-ary rules no key is below the root's. There, a pair of nodes with one
+``h`` is idle under UH, and no node can capture the root. Every rule keeps
+both conditions: UH raises both ``h`` to the pair's largest ``d`` or ``h``
+right after UD, and a tree edge only copies its parent's key, which is at
+least the root's, onto the child. A skipped pair changes nothing. So a mask
+built on a reachable state stays exact for the rest of the run, and the
+engine takes the step path on any other state.
 
 After a step that changed something, ``refresh`` updates only the families
 of the two nodes involved, which is O(n); after a move under ``lambda`` or
@@ -41,11 +46,20 @@ from .core import Population, strictly_greater
 from .formation import KARY, FormationProtocol
 
 
+def reachable(pop: Population, kary: bool) -> bool:
+    """Whether a completed tree is in a state the rules reach from fresh
+    registers and merge keys, the states the mask covers: every ``d`` is at
+    most its ``h`` and, under the k-ary rules, no key is below the root's."""
+    if any(d > h for d, h in zip(pop.d, pop.h)):
+        return False
+    return not kary or min(pop.w) >= pop.w[pop.network.roots()[0]]
+
+
 class ActivePairs:
     __slots__ = (
         "rows", "count", "parent", "children", "root", "d", "h", "w", "e",
-        "key", "edge_on", "pinned", "fires", "uw", "arity", "captures",
-        "targets", "one_way", "side", "above", "below", "buffers",
+        "key", "edge_on", "pinned", "fires", "uw", "targets", "one_way", "side",
+        "above", "below", "buffers",
     )
 
     def __init__(
@@ -64,8 +78,8 @@ class ActivePairs:
         self.root = net.roots()[0]
         self.d, self.h, self.w = pop.d, pop.h, pop.w
         self.e = pop.energy.per_node
-        key = self.key = [h if d <= h else -1 - x for x, (d, h) in enumerate(zip(self.d, self.h))]
-        # UH rows: nodes with one key share one row, less their own column
+        key = self.key = list(self.h)
+        # UH rows: nodes with one h share one row, less their own column
         shared: dict[int, bytearray] = {}
         self.rows = []
         for u, ku in enumerate(key):
@@ -73,21 +87,17 @@ class ActivePairs:
                 shared[ku] = bytearray(ku != kv for kv in key)
             self.rows.append(shared[ku][:u] + shared[ku][u + 1:])
         self.count = sum(map(sum, self.rows))
-        # UW fires (and a root capture is possible) only under the k-ary rules
+        # UW fires only under the k-ary rules
         self.uw = formation is not None and formation.kind == KARY
-        self.arity = formation.k if self.uw else 0
         self.pinned = False
         self.fires = None
         self.targets: Optional[Sequence[Optional[float]]] = None
         if protocol is not None:
             protocol.mark_active(self, pop, draws)
         self.edge_on = [False] * n
-        self.captures = [False] * n
         for x in range(n):
             if x != self.root:
                 self._edge(x)
-                if self.uw:
-                    self._capture(x)
 
     # -- what energy protocols contribute -----------------------------------
     def pin_edges(self) -> None:
@@ -127,9 +137,7 @@ class ActivePairs:
                 if x != self.root:
                     edges.add(x)
                 edges.update(self.children[x])
-                if self.uw and w[x] != wx:
-                    self._capture(x)
-            if d[x] != dx or h[x] != hx:
+            if h[x] != hx:
                 self._rekey(x)
         for c in edges:
             self._edge(c)
@@ -158,24 +166,10 @@ class ActivePairs:
             self.edge_on[c] = on
             self._pair(p, c, 1 if on else -1)
 
-    def _capture(self, x: int) -> None:
-        r = self.root
-        on = (
-            self.w[x] < self.w[r]
-            and len(self.children[x]) < self.arity
-            and self.parent[x] != r
-        )
-        if on != self.captures[x]:
-            self.captures[x] = on
-            self._pair(r, x, 1 if on else -1)
-
     def _rekey(self, x: int) -> None:
         key = self.key
         old = key[x]
-        new = self.h[x] if self.d[x] <= self.h[x] else -1 - x
-        if new == old:
-            return
-        key[x] = new
+        new = key[x] = self.h[x]
         # Pairs with the old key become active, pairs with the new one idle
         # (the per-pair upkeep of _pair, inlined: this loop is the hot one).
         rows = self.rows

@@ -43,6 +43,14 @@ def rel_close(a: float, b: float, tol: float = REL_TOL) -> bool:
     return math.isclose(a, b, rel_tol=tol, abs_tol=0.0)
 
 
+def spec_text(spec, what: str) -> str:
+    """A spec, stripped and lower-cased; DomainError unless it is a string
+    (a config's null or number is not a spec)."""
+    if not isinstance(spec, str):
+        raise DomainError(f"{what} must be a string (got {spec!r})")
+    return spec.strip().lower()
+
+
 def spec_numbers(spec: str, what: str, count: int, cast=float) -> list:
     """The ``count`` comma-separated parameters after the colon of a
     ``name:p1,p2`` spec; DomainError unless each is a finite ``cast``."""

@@ -46,7 +46,7 @@ import random
 from dataclasses import dataclass
 from typing import Union, get_args
 
-from .core import EnergyState, Population, TreeNetwork, spec_numbers, strictly_greater
+from .core import EnergyState, Population, TreeNetwork, spec_numbers, spec_text, strictly_greater
 from .errors import DomainError
 from .estimation import true_depths
 
@@ -77,7 +77,7 @@ class LossModel:
 
     @staticmethod
     def parse(spec: str) -> "LossModel":
-        spec = str(spec).strip().lower()
+        spec = spec_text(spec, "loss model")
         if spec in ("lossless", "none", "0"):
             return LossModel.lossless()
         if spec.startswith("normal:"):
@@ -295,8 +295,8 @@ PROTOCOL_TAGS = frozenset(p.tag for p in get_args(EnergyProtocol))
 
 
 def parse_energy_protocol(spec: str) -> EnergyProtocol:
-    spec = str(spec).strip().lower()
     what = "energy protocol"
+    spec = spec_text(spec, what)
     if spec == "ideal":
         return IdealTarget()
     if spec.startswith("lambda:"):

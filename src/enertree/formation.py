@@ -33,6 +33,7 @@ from .core import (
     classify,
     is_spanning_tree,
     spec_numbers,
+    spec_text,
 )
 from .errors import DomainError, InvariantError
 
@@ -78,7 +79,7 @@ class FormationProtocol:
 
     @staticmethod
     def parse(spec: str) -> "FormationProtocol":
-        spec = str(spec).strip().lower()
+        spec = spec_text(spec, "formation protocol")
         if spec == ARBITRARY:
             return FormationProtocol.arbitrary()
         if spec.startswith("kary:"):

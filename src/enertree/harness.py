@@ -148,7 +148,7 @@ class ExperimentConfig:
     def from_json(path: "str | Path") -> "ExperimentConfig":
         try:
             data = json.loads(Path(path).read_text())
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError("config file must hold a JSON object")

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Optional
 
-from .active import ActivePairs
+from .active import ActivePairs, reachable
 from .core import Population
 from .energy import (
     DD_ZERO,
@@ -92,8 +92,10 @@ def default_window(n: int) -> int:
 
 
 def _stabilize_cadence(n: int) -> int:
-    # The stabilization oracle costs O(n); probe every step for small n and
-    # every n steps beyond that.
+    # Probe every step for small n and every n steps beyond that. The exact
+    # count of unsettled nodes could say at once, but ``estimation_steps``
+    # and the start of redistribution rest on this grid (golden case
+    # n17-lambda:2-budget400).
     return 1 if n <= 16 else n
 
 
@@ -343,8 +345,9 @@ def simulate(
 
     def active_pairs() -> Optional[ActivePairs]:
         # Phase A on a completed tree, or the energy protocol on stable
-        # estimates; the step path everywhere else.
-        if not (skipping and complete and stabilized == (tally is not None)):
+        # estimates, in a state the mask covers; the step path everywhere else.
+        if not (skipping and complete and stabilized == (tally is not None)
+                and reachable(pop, kary)):
             return None
         if tally is not None and not replaying:
             return ActivePairs(pop, formation, energy_protocol, driver)

@@ -306,7 +306,7 @@ def read_trace(source: "str | Path | Iterable[str]") -> InteractionTrace:
     try:
         seed = int(header["seed"])
         config = json.loads(header["config"])
-    except ValueError as exc:  # json.JSONDecodeError is a ValueError
+    except (ValueError, RecursionError) as exc:  # json.JSONDecodeError is a ValueError
         raise DomainError(f"malformed trace header: {exc}") from exc
     n = config.get("n") if isinstance(config, dict) else None
     if type(n) is not int:

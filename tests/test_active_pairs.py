@@ -12,12 +12,14 @@ must end on its digest after the same number of steps.
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from enertree.active import ActivePairs
+from enertree import runner
+from enertree.active import ActivePairs, reachable
 from enertree.core import CONDITION_SLACK, EnergyState, Population, TreeNetwork
 from enertree.energy import (
     DepthTarget,
@@ -41,6 +43,7 @@ from enertree.runner import LiveEnergyDriver, simulate
 from enertree.scheduler import InteractionTrace, RandomScheduler, ScriptedScheduler, make_rng
 
 from conftest import Draws, records
+from test_skipping import _stable_binary_tree
 
 PROTOCOLS = ["ideal", "lambda:2", "rand", "kappa:0.5", "kdepth:2"]
 LOSSES = ["lossless", "normal:0.2,0.05"]
@@ -86,6 +89,25 @@ def test_skipping_engine_matches_step_path(config):
     replayed = replay_trace(traced.outcome.trace)
     assert replayed.digest == step.outcome.digest
     assert replayed.total_steps == step.outcome.total_steps
+
+
+@RUNS
+@given(configs())
+def test_config_runs_reach_only_states_the_mask_covers(config):
+    # From fresh registers and merge keys, every mask is built on a state
+    # that passes the gate, live and in replay, so no run takes the step path
+    # for failing it.
+    gates = []
+
+    def gate(pop, kary):
+        gates.append(reachable(pop, kary))
+        return gates[-1]
+
+    with mock.patch.object(runner, "reachable", gate):
+        traced = run_single(config, 0, record_trace=True).outcome
+        replay_trace(traced.trace)
+    assert all(gates)
+    assert gates or not traced.stabilized  # a stabilized run built a mask
 
 
 @st.composite
@@ -182,6 +204,22 @@ def test_skipping_engine_matches_step_path_on_a_snapshot(
         assert _replay(lines, k, trace, **kwargs) == (digest, total_steps)
 
 
+def test_a_depth_above_its_height_takes_the_step_path():
+    # UH would raise both h of a pair with one h when either d is above it,
+    # which the mask cannot see; the gate keeps such a snapshot on the step
+    # path (here for the whole run: the estimates never settle again).
+    pop = _stable_binary_tree([0] * 7)
+    pop.d[3] = pop.h[3] + 2
+    lines = snapshot_lines(pop)
+    kwargs = dict(formation=FormationProtocol.kary(2), energy_protocol=LambdaExchange(2.0),
+                  metric_cadence=5)
+    fast, _, _ = _simulate(lines, 2, 3, False, False, **kwargs)
+    traced, trace, _ = _simulate(lines, 2, 3, True, False, **kwargs)
+    step, step_trace, _ = _simulate(lines, 2, 3, True, True, **kwargs)
+    assert fast == traced == step
+    assert records(trace) == records(step_trace)
+
+
 def _settled_tree(draw, n, k, root_energy):
     """A completed k-ary tree rooted at node 0 with settled registers, merge
     keys diffused or stale (never below the root's), and random energies."""
@@ -193,6 +231,19 @@ def _settled_tree(draw, n, k, root_energy):
     w = [0] + draw(st.lists(st.integers(0, n), min_size=n - 1, max_size=n - 1))
     energies = [root_energy] + draw(st.lists(st.floats(0.5, 1e3), min_size=n - 1, max_size=n - 1))
     return Population(net, EnergyState(energies), w=w, d=d, h=[height] * n, fresh=False)
+
+
+@DIFF
+@given(st.data(), st.integers(2, 20), st.integers(2, 3))
+def test_the_gate_passes_a_settled_tree_and_fails_broken_registers_or_keys(data, n, k):
+    pop = _settled_tree(data.draw, n, k, 1.0)
+    assert reachable(pop, kary=True)
+    x = data.draw(st.integers(0, n - 1))
+    pop.d[x] = pop.h[x] + 1  # one d above its h
+    assert not reachable(pop, kary=True) and not reachable(pop, kary=False)
+    # Leaves keyed below the root break only the k-ary rules.
+    broken = _stable_binary_tree([3, 3, 3, 0, 0, 0, 0])
+    assert not reachable(broken, kary=True) and reachable(broken, kary=False)
 
 
 @DIFF

@@ -383,3 +383,18 @@ def test_parse_energy_protocol_specs():
         parse_energy_protocol("kappa:1.5")
     with pytest.raises(DomainError):
         parse_energy_protocol("magic")
+
+
+@pytest.mark.parametrize("spec", [None, 0, 0.2, 2, True, ["ideal"], {"kind": "lossless"}])
+@pytest.mark.parametrize("parse", [LossModel.parse, parse_energy_protocol, FormationProtocol.parse])
+def test_a_spec_that_is_not_a_string_is_refused(parse, spec):
+    # A config's null or number is not a spec, even where its text would be
+    # one ("0" is lossless), so it is never coerced with str().
+    with pytest.raises(DomainError, match="must be a string"):
+        parse(spec)
+
+
+def test_the_loss_aliases_stay():
+    for spec in ("lossless", "none", "0", " Lossless "):
+        assert LossModel.parse(spec) == LossModel.lossless()
+    assert LossModel.parse("normal:0.2,0.05") == LossModel.normal(0.2, 0.05)

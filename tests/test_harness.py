@@ -62,6 +62,8 @@ def test_config_rejects_bad_loop_settings(field, value):
     {"protocol": "kary:x"}, {"energy_protocol": "kdepth:2.5"},
     {"energy_protocol": "lambda:nan"}, {"energy_protocol": "lambda:inf"}, {"loss": 5},
     {"energy_protocol": "kdepth:" + "9" * 400},
+    # a spec that is not a string, even one whose text is a spec ("0" is lossless)
+    {"loss": None}, {"loss": 0},
 ])
 def test_cli_experiment_rejects_bad_loop_settings(tmp_path, capsys, setting):
     cfg = tmp_path / "cfg.json"
@@ -127,6 +129,18 @@ def test_cli_rejects_undecodable_file(tmp_path, capsys, command):
     assert cli_main(command.split() + [str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: cannot read") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text, message", [
+    pytest.param("[" * 100_000, "cannot read config", id="nested"),  # a RecursionError
+    pytest.param("[1, 2]", "must hold a JSON object", id="array"),
+])
+def test_cli_experiment_rejects_a_config_that_is_not_an_object(tmp_path, capsys, text, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    assert cli_main(["experiment", "--config", str(cfg), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
 
 
 def test_config_json_roundtrip(tmp_path):
@@ -432,8 +446,11 @@ def _record(lines, field, value, moved=False):
     (lambda lines: [lines[0], "# seed=abc"] + lines[2:], "malformed trace header"),
     (lambda lines: lines[:2] + ["# config={bad"] + lines[3:], "malformed trace header"),
     (lambda lines: lines[:2] + ["# config=[6]"] + lines[3:], "integer n"),
+    (lambda lines: lines[:2] + ["# config=" + "[" * 100_000] + lines[3:],
+     "malformed trace header"),  # json.loads raises RecursionError
     (lambda lines: lines[:1] + lines[2:], "missing seed or config"),
     (lambda lines: lines[:4] + ["# seed=1"] + lines[4:], "unexpected trace header line"),
+    (lambda lines: lines[:5] + ["# digest=-"] + lines[5:], "line: '# digest=-'"),  # after a record
     (lambda lines: _record(lines, 4, "x", moved=True), "malformed trace record"),
     (lambda lines: _record(lines, 4, "inf", moved=True), "malformed trace record"),
     (lambda lines: _record(lines, 5, "1.5", moved=True), "malformed trace record"),
@@ -498,6 +515,7 @@ def test_cli_sweep_takes_a_json_array_of_values_with_commas(tmp_path):
     (["n=2", " n =3"], "grid field 'n' given twice"),
     (["n=[]"], "grid field 'n' has no values"),
     (["n=" + "[" * 100_000], "n must be an integer"),  # json.loads raises RecursionError
+    ([], "sweep needs at least one --grid"),
 ])
 def test_cli_sweep_rejects_a_bad_grid_with_one_error_line(tmp_path, capsys, grids, message):
     cfg = tmp_path / "cfg.json"

@@ -157,8 +157,8 @@ def _run_on(pop, traced, validate, scheduler=None):
 
 def test_broken_merge_keys_raise_at_the_same_pair():
     # The leaves are keyed below the root, so a leaf meeting the root tries
-    # to capture it and the step raises; the mask holds those root pairs, so
-    # the skipping run raises after drawing the same pairs.
+    # to capture it and the step raises; no run reaches such keys, so the
+    # skipping run takes the step path and raises after the same pairs.
     states = []
     for traced, validate in MODES:
         scheduler = RandomScheduler(make_rng(11), 7)
