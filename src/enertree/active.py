@@ -14,8 +14,10 @@ The families, on a completed tree:
   ``d`` is not its parent's plus one, or whose child's key is not its
   parent's.
 * An edge energy protocol: ``lambda`` and ``kappa`` hold a tree edge while
-  their firing predicate holds on it (see ``fire_edges``); ``rand`` pins
-  every tree edge, since it draws its ratio on each edge interaction.
+  its parent holds less than their ratio times its child's energy
+  (``energy.below_ratio``, the test their move makes; see ``fire_edges``);
+  ``rand`` pins every tree edge, since it draws its ratio on each edge
+  interaction.
 * UH (height): nodes whose ``h`` differ.
 * A targeted energy protocol: nodes above and below their targets, by the
   protocols' own ``strictly_greater`` test, and a buffer node while it
@@ -31,11 +33,17 @@ least the root's, onto the child. A skipped pair changes nothing. So a mask
 built on a reachable state stays exact for the rest of the run, and the
 engine takes the step path on any other state.
 
+UD, UW and UH are the structural families; ``structural`` counts what they
+claim (a tree edge once, a pair of nodes with different ``h`` once). While
+it is 0 no formation or estimation rule can act on any pair, and no step
+changes that, so the engine runs only the energy move at a stop.
+
 After a step that changed something, ``refresh`` updates only the families
 of the two nodes involved, which is O(n); after a move under ``lambda`` or
-``kappa`` that includes the parent edge and the child edges of each.
-Over-approximating is safe: a stop at an idle pair costs one full step and
-never changes a byte.
+``kappa`` that includes the parent edge and the child edges of each, each
+tested once. With ``before=None`` (no register can have changed) it
+re-tests only the energy family. Over-approximating is safe: a stop at an
+idle pair costs one full step and never changes a byte.
 """
 
 from __future__ import annotations
@@ -43,6 +51,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .core import Population, strictly_greater
+from .energy import below_ratio
 from .formation import KARY, FormationProtocol
 
 
@@ -57,8 +66,8 @@ def reachable(pop: Population, kary: bool) -> bool:
 
 class ActivePairs:
     __slots__ = (
-        "rows", "count", "parent", "children", "root", "d", "h", "w", "e",
-        "key", "edge_on", "pinned", "fires", "uw", "targets", "one_way", "side",
+        "rows", "count", "structural", "parent", "children", "root", "d", "h", "w", "e",
+        "key", "edge_on", "bent", "pinned", "ratio", "uw", "targets", "one_way", "side",
         "above", "below", "buffers",
     )
 
@@ -87,14 +96,16 @@ class ActivePairs:
                 shared[ku] = bytearray(ku != kv for kv in key)
             self.rows.append(shared[ku][:u] + shared[ku][u + 1:])
         self.count = sum(map(sum, self.rows))
+        self.structural = self.count // 2
         # UW fires only under the k-ary rules
         self.uw = formation is not None and formation.kind == KARY
         self.pinned = False
-        self.fires = None
+        self.ratio: Optional[float] = None
         self.targets: Optional[Sequence[Optional[float]]] = None
         if protocol is not None:
             protocol.mark_active(self, pop, draws)
         self.edge_on = [False] * n
+        self.bent = [False] * n  # by child: a UD or UW edge
         for x in range(n):
             if x != self.root:
                 self._edge(x)
@@ -104,10 +115,10 @@ class ActivePairs:
         """Keep every tree edge active, in both orientations."""
         self.pinned = True
 
-    def fire_edges(self, fires) -> None:
+    def fire_edges(self, ratio: float) -> None:
         """Keep a tree edge active, in both orientations, while
-        ``fires(e, p, c)`` holds on its parent p and child c."""
-        self.fires = fires
+        ``below_ratio(E_p, E_c, ratio)`` holds on its parent p and child c."""
+        self.ratio = ratio
 
     def track_targets(self, targets: Sequence[Optional[float]], one_way: bool) -> None:
         """Pairs of a node strictly above its target and one strictly below
@@ -125,22 +136,39 @@ class ActivePairs:
             self._side(x)
 
     # -- upkeep -------------------------------------------------------------
-    def refresh(self, u: int, v: int, before: tuple, moved: float) -> None:
+    def refresh(self, u: int, v: int, before: Optional[tuple], moved: float) -> None:
         """Bring the mask up to date after a step on (u, v); ``before`` holds
-        ``d, h, w`` of u and then of v as they were before the step."""
-        d, h, w = self.d, self.h, self.w
-        du, hu, wu, dv, hv, wv = before
-        fired = moved and self.fires is not None
-        edges = set()  # by child: an edge of u and v is tested once
-        for x, dx, hx, wx in ((u, du, hu, wu), (v, dv, hv, wv)):
-            if fired or d[x] != dx or w[x] != wx:
-                if x != self.root:
-                    edges.add(x)
-                edges.update(self.children[x])
-            if h[x] != hx:
-                self._rekey(x)
-        for c in edges:
-            self._edge(c)
+        ``d, h, w`` of u and then of v as they were before the step, or is
+        None when only the energy moved (``structural`` is 0)."""
+        fired = moved and self.ratio is not None
+        if before is None:
+            if fired:  # on the tree edge (u, v): no edge is bent, test the energy family
+                parent, children, e, ratio, edge_on = (
+                    self.parent, self.children, self.e, self.ratio, self.edge_on)
+                c = u if parent[u] == v else v
+                p = parent[c]
+                edges = children[p] + children[c]  # by child, each edge once
+                if p != self.root:
+                    edges.append(p)
+                for c in edges:
+                    p = parent[c]
+                    on = below_ratio(e[p], e[c], ratio)
+                    if on != edge_on[c]:
+                        edge_on[c] = on
+                        self._pair(p, c, 1 if on else -1)
+        else:
+            d, h, w = self.d, self.h, self.w
+            du, hu, wu, dv, hv, wv = before
+            edges = set()  # by child: an edge of u and v is tested once
+            for x, dx, hx, wx in ((u, du, hu, wu), (v, dv, hv, wv)):
+                if fired or d[x] != dx or w[x] != wx:
+                    if x != self.root:
+                        edges.add(x)
+                    edges.update(self.children[x])
+                if h[x] != hx:
+                    self._rekey(x)
+            for c in edges:
+                self._edge(c)
         if moved and self.targets is not None:
             self._side(u)
             self._side(v)
@@ -156,11 +184,14 @@ class ActivePairs:
 
     def _edge(self, c: int) -> None:
         p = self.parent[c]
+        bent = self.d[c] != self.d[p] + 1 or (self.uw and self.w[c] != self.w[p])
+        if bent != self.bent[c]:
+            self.bent[c] = bent
+            self.structural += 1 if bent else -1
         on = (
-            self.pinned
-            or self.d[c] != self.d[p] + 1
-            or (self.uw and self.w[c] != self.w[p])
-            or (self.fires is not None and self.fires(self.e, p, c))
+            bent
+            or self.pinned
+            or (self.ratio is not None and below_ratio(self.e[p], self.e[c], self.ratio))
         )
         if on != self.edge_on[c]:
             self.edge_on[c] = on
@@ -185,6 +216,7 @@ class ActivePairs:
                 rows[y][x - (x > y)] -= 1
                 count -= 2
         self.count += count
+        self.structural += count // 2
 
     def _side(self, x: int) -> None:
         z = self.targets[x]

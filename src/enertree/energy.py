@@ -23,8 +23,8 @@ to v); the three edge protocols write it as ``edge_step(energy, p, c,
 draws)``, which moves energy from the child c up to the parent p.
 ``mark_active(mask, pop, draws)`` tells an ``ActivePairs`` mask which pairs
 the protocol can act on once the estimates have stabilized: ``lambda`` and
-``kappa`` hand it their firing predicate ``fires(e, p, c)``, the one test
-their ``edge_step`` makes, so the mask holds an edge exactly while a step on
+``kappa`` hand it their ratio, and the mask tests ``below_ratio``, the one
+test their ``edge_step`` makes, so it holds an edge exactly while a step on
 it would move energy; ``rand`` pins every edge, since it draws its ratio on
 each edge interaction. ``convergence`` says how a run ends: at the first
 zero distribution distance (``DD_ZERO``, the edge protocols) or after a
@@ -46,7 +46,15 @@ import random
 from dataclasses import dataclass
 from typing import Union, get_args
 
-from .core import EnergyState, Population, TreeNetwork, spec_numbers, spec_text, strictly_greater
+from .core import (
+    CONDITION_SLACK,
+    EnergyState,
+    Population,
+    TreeNetwork,
+    spec_numbers,
+    spec_text,
+    strictly_greater,
+)
 from .errors import DomainError
 from .estimation import true_depths
 
@@ -143,12 +151,15 @@ class _EdgeProtocol:
         return 0.0
 
     def mark_active(self, mask, pop: Population, draws) -> None:
-        mask.fire_edges(self.fires)
+        mask.fire_edges(self.ratio)
 
 
-def _below_ratio(e, p: int, c: int, lam: float) -> bool:
-    """E_p < lam * E_c, with slack: the condition of every edge protocol."""
-    return strictly_greater(lam * e[c], e[p])
+def below_ratio(ep: float, ec: float, ratio: float) -> bool:
+    """E_p < ratio * E_c, with slack: the condition of every edge protocol.
+    It is ``strictly_greater(ratio * ec, ep)`` written out, so that the mask
+    tests an edge in one frame."""
+    a = ratio * ec
+    return a - ep > CONDITION_SLACK * max(abs(a), abs(ep))
 
 
 def _exchange(energy: EnergyState, p: int, c: int, lam: float, draws) -> float:
@@ -156,7 +167,7 @@ def _exchange(energy: EnergyState, p: int, c: int, lam: float, draws) -> float:
     from child to parent so that, with no loss, the pair lands exactly on
     E_p = lam * E_c. Returns x (0 if idle)."""
     e = energy.per_node
-    if _below_ratio(e, p, c, lam):
+    if below_ratio(e[p], e[c], lam):
         x = (lam * e[c] - e[p]) / (lam + 1.0)
         energy.transfer(c, p, x, draws.beta())
         return x
@@ -172,8 +183,9 @@ class LambdaExchange(_EdgeProtocol):
         if self.lam < 2:
             raise DomainError("exchange ratio must be >= 2")
 
-    def fires(self, e, p: int, c: int) -> bool:
-        return _below_ratio(e, p, c, self.lam)
+    @property
+    def ratio(self) -> float:
+        return self.lam
 
     def edge_step(self, energy: EnergyState, p: int, c: int, draws) -> float:
         return _exchange(energy, p, c, self.lam, draws)
@@ -206,17 +218,15 @@ class KappaTransfer(_EdgeProtocol):
 
     kappa: float
     tag = "KAPPA"
+    ratio = 2.0
 
     def __post_init__(self):
         if not 0 < self.kappa < 1:
             raise DomainError("transfer fraction must be in (0, 1)")
 
-    def fires(self, e, p: int, c: int) -> bool:
-        return _below_ratio(e, p, c, 2.0)
-
     def edge_step(self, energy: EnergyState, p: int, c: int, draws) -> float:
         e = energy.per_node
-        if self.fires(e, p, c):
+        if below_ratio(e[p], e[c], self.ratio):
             x = self.kappa * e[c]
             energy.transfer(c, p, x, draws.beta())
             return x

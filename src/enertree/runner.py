@@ -15,17 +15,23 @@ idle pairs up to the next pair in the mask or the limit: the first step
 that decides something. Phase A stops at its end, or at the next
 stabilization probe once no node is unsettled; in redistribution the
 ``_Tally`` keeps its next decision step. A live stop at the limit on an
-idle pair runs no rule. Once nothing can change before the limit, a live
-run without a trace jumps there without drawing (nothing reads the
+idle pair runs no rule, and once no formation or estimation rule can act
+on any pair (``ActivePairs.structural`` is 0), a stop in redistribution
+runs only the energy move. Once nothing can change before the limit, a
+live run without a trace jumps there without drawing (nothing reads the
 generator after ``simulate``). Every step passed over leaves the state and
 generator position that the step path leaves, so every output is
 unchanged; a trace records it as the step path would (``_idle_rules``).
 
 A ``_Tally`` keeps the books of the redistribution phase at each stop: the
 distribution distance, the metric samples and the convergence detector's
-feed. A replay masks only the formation and estimation rules, and its
-scheduler also stops at each recorded move. Validation and concurrent mode
-before stabilization keep the step path.
+feed. A cadence step after a move decides nothing, so a skip passes over
+it and the next stop resyncs the distance for it and writes its samples;
+only a dd-zero run whose distance is within ``dd_drift`` of its tolerance
+stops there, since that resync could bring the verdict. A replay masks
+only the formation and estimation rules, and its scheduler also stops at
+each recorded move. Validation and concurrent mode before stabilization
+keep the step path.
 """
 
 from __future__ import annotations
@@ -156,18 +162,43 @@ def _idle_rules(pairs: list[tuple[int, int]], start: int, parent: list[int], kar
     return [UW if parent[u] == v or parent[v] == u else NOOP for u, v in pairs[start:]]
 
 
+def dd_drift(n: int, cadence: int, total: float) -> float:
+    """A bound on how far the running dd can be from a resync of the same
+    state, on n nodes that held ``total`` energy when the phase began.
+
+    With u = 2^-53. The energies sum to at most S = 2 * total: a transfer
+    raises the float sum by at most a factor 1 + 2u, and no run makes 2^51
+    of them. Each gap 2*E_c - E_p is computed with its sign exact (2*E_c is
+    exact, and a float difference has the sign of the exact one) and within
+    u of its value, and a positive gap is at most 2*E_c. So a sum of
+    positive gaps, full (at most n - 1 terms) or over the edges at a pair
+    (at most 2n - 2), is at most 2S = 4 * total, and its float value is
+    within (terms + 1) * 1.01u * 4 * total of it. A move's update
+    ``dd + (after - before)`` adds the error of two incident sums and two
+    roundings of values below 8 * total: at most (4n + 6) * 1.01u *
+    4 * total. At most ``cadence`` moves fall between two resyncs (the
+    first stop from a dirty cadence step on resyncs before it moves), and
+    the resync the running dd started from, like the one it is compared
+    with, is within n * 1.01u * 4 * total. The bound below, ops * 2^-50 *
+    total, is nearly twice that sum, which covers its own rounding too; its
+    term ``ops * 2^-1074`` covers what ``total * 2^-50`` loses to underflow
+    (at a subnormal total dd_tol is 0.0, and this term alone is left)."""
+    ops = cadence * (4 * n + 6) + 2 * n
+    return ops * (total * 2.0**-50 + 2.0**-1074)
+
+
 class _Tally:
     """The books of the redistribution phase, from its first step ``t0``:
     the distribution distance ``dd``, updated at each move and recomputed in
-    full (a resync) when an edge joins, at a cadence step after a move
-    (``dirty``), before a dd-zero verdict and at the end; the metric
-    samples; the detector's feed; the ideal shares of the complete tree;
-    and ``until``, the first later step that decides something."""
+    full (a resync) when an edge joins, at the first stop from a cadence step
+    on after a move (``dirty``), before a dd-zero verdict and at the end; the
+    metric samples; the detector's feed; the ideal shares of the complete
+    tree; and ``until``, the first later step that decides something."""
 
     __slots__ = (
         "pop", "net", "energy", "driver", "detector", "basis_total", "t0", "cadence",
         "record", "dd_zero", "edges", "ideal", "observing", "dd", "dirty", "samples", "last",
-        "until",
+        "until", "margin",
     )
 
     def __init__(self, pop: Population, driver, detector: ConvergenceDetector,
@@ -177,6 +208,8 @@ class _Tally:
         self.t0, self.cadence, self.record = t0, cadence, record
         self.last = t0  # the last step run in full, or passed over by a jump
         self.dd_zero = detector.kind == DD_ZERO
+        # Above this a resync cannot bring dd within tolerance.
+        self.margin = detector.dd_tol + dd_drift(self.net.n, cadence, basis_total)
         self.edges = self.ideal = None
         self.observing = not self.dd_zero
         if complete:
@@ -204,17 +237,13 @@ class _Tally:
         e = self.energy
         self.samples.append(MetricSample(s, self.dd, e.total(), e.lost))
 
-    def _quiet(self, since: int, until: int) -> None:
-        # The samples of the cadence steps after ``since`` up to ``until``,
-        # over which nothing moved: dd is the last full one.
-        first, last = since - self.t0, until - self.t0
-        cadence = self.cadence
-        start = first - first % cadence + cadence
-        if start <= last:
-            e, dd = self.energy, self.dd
-            total, lost = e.total(), e.lost
-            self.samples += [MetricSample(c, dd, total, lost)
-                             for c in range(start, last + 1, cadence)]
+    def _quiet(self, first: int, last: int) -> None:
+        # The samples of the cadence steps from ``first`` to ``last`` (from
+        # t0), over which nothing moved: dd is the last full one.
+        e, dd = self.energy, self.dd
+        total, lost = e.total(), e.lost
+        self.samples += [MetricSample(c, dd, total, lost)
+                         for c in range(first, last + 1, self.cadence)]
 
     def stop(self, t: int, u: Optional[int] = None, v: Optional[int] = None,
              joined: bool = False) -> tuple[float, Optional[float]]:
@@ -222,8 +251,17 @@ class _Tally:
         The energy rule runs on (u, v), after a resync if the step ``joined``
         an edge to the tree; a stop with no pair is idle. Returns the amount
         moved and the loss fraction."""
-        if self.record and not self.dirty and t - self.last > 1:
-            self._quiet(self.last, t - 1)
+        t0, detector, cadence = self.t0, self.detector, self.cadence
+        s = t - t0
+        crossed = self.last - t0
+        crossed += cadence - crossed % cadence  # the first cadence step after the last stop
+        if crossed < s:
+            # Nothing moved since the last stop: the step path resyncs at
+            # that cadence step if dirty, and samples there and at the next.
+            if self.dirty:
+                self.resync()
+            if self.record:
+                self._quiet(crossed, s - 1)
         self.last = t
         moved, beta = 0.0, None
         if u is not None:
@@ -236,8 +274,6 @@ class _Tally:
                 dd = self.dd + (incident_distance(net, e, u, v) - pre)
                 self.dd = 0.0 if dd < 0.0 else dd
                 self.dirty = True
-        t0, detector, cadence = self.t0, self.detector, self.cadence
-        s = t - t0
         if self.observing:
             if self.dd_zero and self.dd <= detector.dd_tol:
                 self.resync()  # confirm before declaring
@@ -252,7 +288,9 @@ class _Tally:
             until = min(until, t0 + detector.last_move + detector.window)
         elif self.dd <= detector.dd_tol:
             until = t + 1  # a cadence resync brought dd within tolerance: declare it next
-        if self.dirty:
+        elif self.dirty and self.dd <= self.margin:
+            # The resync at the next cadence step might: stop there. Any
+            # other dirty cadence step is resynced by the next stop.
             until = min(until, t - s % cadence + cadence)
         self.until = until
         return moved, beta
@@ -384,7 +422,7 @@ def simulate(
         else:
             if tally is not None:
                 until = tally.until
-                if jumps and not tally.dirty and not mask.count:
+                if jumps and not mask.count:
                     tally.stop(until)
                     skipped += until - t
                     t = until
@@ -403,7 +441,14 @@ def simulate(
                     drawn.append((u, v))  # recorded as a skipped pair is
                 trace.rules += _idle_rules(drawn, len(trace.rules), net.parent, kary)
         joined = False
-        if not idle:
+        if idle:
+            pass
+        elif tally is not None and mask is not None and not mask.structural:
+            # No rule can change a register (see ActivePairs): only the move
+            # runs, tagged as an idle stop is.
+            before = None
+            tag = UW if kary and (net.parent[u] == v or net.parent[v] == u) else NOOP
+        else:
             if mask is not None:
                 before = (d[u], h[u], w[u], d[v], h[v], w[v])
             tag = apply_formation_rule(formation, pop, u, v) if formation else NOOP

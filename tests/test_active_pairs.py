@@ -110,6 +110,46 @@ def test_config_runs_reach_only_states_the_mask_covers(config):
     assert gates or not traced.stabilized  # a stabilized run built a mask
 
 
+def _structural(mask: ActivePairs) -> int:
+    """The structural entries of a mask's state, counted from scratch: the
+    pairs of nodes with different ``h``, and the tree edges whose child's
+    ``d`` is not its parent's plus one or, under the k-ary rules, whose
+    child's key is not its parent's."""
+    d, h, w = mask.d, mask.h, mask.w
+    n = len(h)
+    uh = sum(h[x] != h[y] for x in range(n) for y in range(x + 1, n))
+    bent = sum(
+        d[c] != d[p] + 1 or (mask.uw and w[c] != w[p])
+        for c, p in enumerate(mask.parent) if p != -1
+    )
+    return uh + bent
+
+
+@RUNS
+@given(configs())
+def test_structural_count_matches_a_recount_after_every_stop(config):
+    # Checked where a mask is built and after every refresh (each stop that
+    # runs a rule or a move), live and in replay; an idle stop changes
+    # nothing.
+    checked = []
+    build, refresh = ActivePairs.__init__, ActivePairs.refresh
+
+    def built(mask, *args):
+        build(mask, *args)
+        checked.append(mask.structural == _structural(mask))
+
+    def refreshed(mask, *args):
+        refresh(mask, *args)
+        checked.append(mask.structural == _structural(mask))
+
+    with mock.patch.object(ActivePairs, "__init__", built), \
+            mock.patch.object(ActivePairs, "refresh", refreshed):
+        traced = run_single(config, 0, record_trace=True).outcome
+        replay_trace(traced.trace)
+    assert all(checked)
+    assert checked or not traced.stabilized
+
+
 @st.composite
 def snapshots(draw) -> tuple[list[str], int]:
     """A completed k-ary tree as a snapshot: random shape, merge keys

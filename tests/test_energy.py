@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from enertree.core import EnergyState, Population, TreeNetwork
+from enertree.core import CONDITION_SLACK, EnergyState, Population, TreeNetwork, strictly_greater
 from enertree.energy import (
     DepthTarget,
     IdealEnergyTable,
@@ -13,6 +13,7 @@ from enertree.energy import (
     LambdaExchange,
     LossModel,
     RandExchange,
+    below_ratio,
     compute_ideal_energies,
     depth_target,
     parse_energy_protocol,
@@ -398,3 +399,32 @@ def test_the_loss_aliases_stay():
     for spec in ("lossless", "none", "0", " Lossless "):
         assert LossModel.parse(spec) == LossModel.lossless()
     assert LossModel.parse("normal:0.2,0.05") == LossModel.normal(0.2, 0.05)
+
+
+# ----------------------------------------------------------- the edge condition
+RATIOS = [2.0, 3.0, 2.5]
+TINY = 5e-324  # the smallest subnormal
+
+
+def _edge_cases():
+    # (E_p, E_c): zeros, subnormals, 1e300, equal values, and E_p on either
+    # side of r * E_c and of its slack boundary r * E_c * (1 - slack)
+    for ec in [0.0, TINY, 1e-320, 2.2250738585072014e-308, 1.0, 1e300]:
+        for r in RATIOS:
+            edge = r * ec
+            for at in [edge, edge * (1.0 - CONDITION_SLACK)]:
+                for ep in [at, math.nextafter(at, 0.0), math.nextafter(at, math.inf)]:
+                    yield ep, ec, r
+        for ep in [0.0, TINY, ec, 1e300]:
+            yield ep, ec, 2.0
+
+
+@pytest.mark.parametrize("ep, ec, ratio", list(_edge_cases()))
+def test_below_ratio_is_the_slack_test_written_out(ep, ec, ratio):
+    assert below_ratio(ep, ec, ratio) is strictly_greater(ratio * ec, ep)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.floats(0.0, 1e300), st.floats(0.0, 1e300), st.sampled_from(RATIOS))
+def test_below_ratio_agrees_with_strictly_greater_on_any_energies(ep, ec, ratio):
+    assert below_ratio(ep, ec, ratio) is strictly_greater(ratio * ec, ep)
