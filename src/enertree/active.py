@@ -38,12 +38,15 @@ claim (a tree edge once, a pair of nodes with different ``h`` once). While
 it is 0 no formation or estimation rule can act on any pair, and no step
 changes that, so the engine runs only the energy move at a stop.
 
-After a step that changed something, ``refresh`` updates only the families
-of the two nodes involved, which is O(n); after a move under ``lambda`` or
-``kappa`` that includes the parent edge and the child edges of each, each
-tested once. With ``before=None`` (no register can have changed) it
-re-tests only the energy family. Over-approximating is safe: a stop at an
-idle pair costs one full step and never changes a byte.
+On a reachable state the pair alone says what a step on (u, v) can
+change: on a tree edge with child c, UD and UW write ``d`` and ``w`` of c
+alone; UH writes ``h`` of u and v, which the mask mirrors in ``key``; the
+move writes the energies of u and v; and while ``structural`` is 0 no
+register changes. So ``refresh`` re-tests, in O(n), c's edge and its child
+edges, and after a move under ``lambda`` or ``kappa`` the edges of c's
+parent too (each edge once), and re-keys a node whose ``h`` is not its
+key. Over-approximating is safe: a stop at an idle pair costs one full
+step and never changes a byte.
 """
 
 from __future__ import annotations
@@ -136,39 +139,38 @@ class ActivePairs:
             self._side(x)
 
     # -- upkeep -------------------------------------------------------------
-    def refresh(self, u: int, v: int, before: Optional[tuple], moved: float) -> None:
-        """Bring the mask up to date after a step on (u, v); ``before`` holds
-        ``d, h, w`` of u and then of v as they were before the step, or is
-        None when only the energy moved (``structural`` is 0)."""
-        fired = moved and self.ratio is not None
-        if before is None:
-            if fired:  # on the tree edge (u, v): no edge is bent, test the energy family
-                parent, children, e, ratio, edge_on = (
-                    self.parent, self.children, self.e, self.ratio, self.edge_on)
-                c = u if parent[u] == v else v
-                p = parent[c]
-                edges = children[p] + children[c]  # by child, each edge once
-                if p != self.root:
-                    edges.append(p)
-                for c in edges:
-                    p = parent[c]
-                    on = below_ratio(e[p], e[c], ratio)
-                    if on != edge_on[c]:
-                        edge_on[c] = on
-                        self._pair(p, c, 1 if on else -1)
+    def refresh(self, u: int, v: int, moved: float) -> None:
+        """Bring the mask up to date after a step on (u, v) that moved
+        ``moved`` (see the module docstring for what it can have changed)."""
+        parent, children = self.parent, self.children
+        structural = self.structural  # as the stop saw it; _edge may change it
+        if moved and self.ratio is not None:  # an edge protocol moved on the tree edge (u, v)
+            c = u if parent[u] == v else v
+            p = parent[c]
+            edges = children[p] + children[c]  # every edge at p or c, by child, each once
+            if p != self.root:
+                edges.append(p)
+        elif structural and (parent[u] == v or parent[v] == u):
+            c = u if parent[u] == v else v
+            edges = children[c] + [c]
         else:
-            d, h, w = self.d, self.h, self.w
-            du, hu, wu, dv, hv, wv = before
-            edges = set()  # by child: an edge of u and v is tested once
-            for x, dx, hx, wx in ((u, du, hu, wu), (v, dv, hv, wv)):
-                if fired or d[x] != dx or w[x] != wx:
-                    if x != self.root:
-                        edges.add(x)
-                    edges.update(self.children[x])
-                if h[x] != hx:
-                    self._rekey(x)
+            edges = ()
+        if structural:
             for c in edges:
                 self._edge(c)
+            key, h = self.key, self.h
+            if h[u] != key[u]:
+                self._rekey(u)
+            if h[v] != key[v]:
+                self._rekey(v)
+        elif edges:  # no edge is bent: test the energy family alone
+            e, ratio, edge_on = self.e, self.ratio, self.edge_on
+            for c in edges:
+                p = parent[c]
+                on = below_ratio(e[p], e[c], ratio)
+                if on != edge_on[c]:
+                    edge_on[c] = on
+                    self._pair(p, c, 1 if on else -1)
         if moved and self.targets is not None:
             self._side(u)
             self._side(v)

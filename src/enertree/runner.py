@@ -14,14 +14,15 @@ runs on stable estimates), and the scheduler's ``skip`` draws through the
 idle pairs up to the next pair in the mask or the limit: the first step
 that decides something. Phase A stops at its end, or at the next
 stabilization probe once no node is unsettled; in redistribution the
-``_Tally`` keeps its next decision step. A live stop at the limit on an
-idle pair runs no rule, and once no formation or estimation rule can act
-on any pair (``ActivePairs.structural`` is 0), a stop in redistribution
-runs only the energy move. Once nothing can change before the limit, a
-live run without a trace jumps there without drawing (nothing reads the
-generator after ``simulate``). Every step passed over leaves the state and
-generator position that the step path leaves, so every output is
-unchanged; a trace records it as the step path would (``_idle_rules``).
+``_Tally`` keeps its next decision step. A stop runs its pair as any step
+does, even an idle pair at the limit (whose rules and move change nothing
+and draw nothing), except that once no formation or estimation rule can act
+on any pair (``ActivePairs.structural`` is 0), it runs only the energy
+move, if any. Once nothing can change before the limit, a live run without
+a trace jumps there without drawing (nothing reads the generator after
+``simulate``). Every step passed over leaves the state and generator
+position that the step path leaves, so every output is unchanged; a trace
+records it as the step path would (``_idle_rules``).
 
 A ``_Tally`` keeps the books of the redistribution phase at each stop: the
 distribution distance, the metric samples and the convergence detector's
@@ -233,13 +234,9 @@ class _Tally:
         self.dd = distribution_distance(self.net, self.energy, self.edges)
         self.dirty = False
 
-    def _sample(self, s: int) -> None:
-        e = self.energy
-        self.samples.append(MetricSample(s, self.dd, e.total(), e.lost))
-
-    def _quiet(self, first: int, last: int) -> None:
-        # The samples of the cadence steps from ``first`` to ``last`` (from
-        # t0), over which nothing moved: dd is the last full one.
+    def _sample(self, first: int, last: int) -> None:
+        # A sample at each cadence step from ``first`` to ``last`` (from
+        # t0), all of the current dd, total and loss.
         e, dd = self.energy, self.dd
         total, lost = e.total(), e.lost
         self.samples += [MetricSample(c, dd, total, lost)
@@ -249,8 +246,8 @@ class _Tally:
              joined: bool = False) -> tuple[float, Optional[float]]:
         """The stop at step t, after the steps skipped since the last one.
         The energy rule runs on (u, v), after a resync if the step ``joined``
-        an edge to the tree; a stop with no pair is idle. Returns the amount
-        moved and the loss fraction."""
+        an edge to the tree; a stop with no pair is a jump. Returns the
+        amount moved and the loss fraction."""
         t0, detector, cadence = self.t0, self.detector, self.cadence
         s = t - t0
         crossed = self.last - t0
@@ -261,7 +258,7 @@ class _Tally:
             if self.dirty:
                 self.resync()
             if self.record:
-                self._quiet(crossed, s - 1)
+                self._sample(crossed, s - 1)
         self.last = t
         moved, beta = 0.0, None
         if u is not None:
@@ -282,7 +279,7 @@ class _Tally:
             if self.dirty:
                 self.resync()  # resync any float drift
             if self.record:
-                self._sample(s)
+                self._sample(s, s)
         until = t0 + detector.horizon  # the budget end, or an earlier step that decides
         if not self.dd_zero:
             until = min(until, t0 + detector.last_move + detector.window)
@@ -300,7 +297,7 @@ class _Tally:
         s = t - self.t0
         if self.record and s % self.cadence:
             self.resync()
-            self._sample(s)
+            self._sample(s, s)
         return self.samples
 
 
@@ -391,7 +388,6 @@ def simulate(
             return ActivePairs(pop, formation, energy_protocol, driver)
         return ActivePairs(pop, formation)
 
-    d, h, w = pop.d, pop.h, pop.w
     skipped = 0
     # Phase A (two-phase mode only) grows the tree and settles the
     # estimates within formation_budget steps; then the energy protocol
@@ -418,7 +414,6 @@ def simulate(
         if mask is None:
             u, v = scheduler.next_pair()
             t += 1
-            idle = False
         else:
             if tally is not None:
                 until = tally.until
@@ -434,23 +429,14 @@ def simulate(
             k, u, v = scheduler.skip(until - t, mask.rows, drawn)
             skipped += k - 1
             t += k
-            # A stop at the limit may be idle: no rule can act on the pair.
-            idle = not replaying and not mask.rows[u][v - (v > u)]
-            if drawn is not None and (k > 1 or idle):
-                if idle:
-                    drawn.append((u, v))  # recorded as a skipped pair is
+            if drawn is not None and k > 1:
                 trace.rules += _idle_rules(drawn, len(trace.rules), net.parent, kary)
         joined = False
-        if idle:
-            pass
-        elif tally is not None and mask is not None and not mask.structural:
+        if mask is not None and not mask.structural:
             # No rule can change a register (see ActivePairs): only the move
-            # runs, tagged as an idle stop is.
-            before = None
+            # runs, tagged as a skipped step is.
             tag = UW if kary and (net.parent[u] == v or net.parent[v] == u) else NOOP
         else:
-            if mask is not None:
-                before = (d[u], h[u], w[u], d[v], h[v], w[v])
             tag = apply_formation_rule(formation, pop, u, v) if formation else NOOP
             apply_estimation_rules(pop, u, v)
             joined = tag in CONNECTING_RULES
@@ -472,7 +458,7 @@ def simulate(
             stabilized = remask = True
             stabilized_step = t
         if tally is not None:
-            moved, beta = tally.stop(t) if idle else tally.stop(t, u, v, joined)
+            moved, beta = tally.stop(t, u, v, joined)
             if validate:
                 if not e.conservation_ok():
                     raise InvariantError("energy conservation violated")
@@ -480,9 +466,9 @@ def simulate(
                     raise InvariantError("negative node energy")
         if remask:
             mask = active_pairs()
-        elif mask is not None and not idle:
-            mask.refresh(u, v, before, moved)
-        if trace is not None and not idle:
+        elif mask is not None:
+            mask.refresh(u, v, moved)
+        if trace is not None:
             trace.pairs.append((u, v))
             trace.rules.append(tag if tag != NOOP or not moved else energy_protocol.tag)
             if moved or beta is not None:

@@ -129,8 +129,7 @@ def _structural(mask: ActivePairs) -> int:
 @given(configs())
 def test_structural_count_matches_a_recount_after_every_stop(config):
     # Checked where a mask is built and after every refresh (each stop that
-    # runs a rule or a move), live and in replay; an idle stop changes
-    # nothing.
+    # runs a rule or a move), live and in replay.
     checked = []
     build, refresh = ActivePairs.__init__, ActivePairs.refresh
 
@@ -300,16 +299,57 @@ def test_refreshed_mask_is_the_mask_of_the_new_state(data, n, k, protocol, loss,
     driver = LiveEnergyDriver(protocol, LossModel.parse(loss), scheduler.rng, pop.energy.total())
     driver.table = compute_ideal_energies(pop.network, driver.total_energy)
     mask = ActivePairs(pop, formation, protocol, driver)
-    d, h, w = pop.d, pop.h, pop.w
     for t in range(20 * n):
         u, v = scheduler.next_pair()
-        before = (d[u], h[u], w[u], d[v], h[v], w[v])
         apply_formation_rule(formation, pop, u, v)
         apply_estimation_rules(pop, u, v)
         moved, _ = driver.move(pop, u, v)
-        mask.refresh(u, v, before, moved)
+        mask.refresh(u, v, moved)
         fresh = ActivePairs(pop, formation, protocol, driver)
         assert (mask.rows, mask.count) == (fresh.rows, fresh.count)
+
+
+def _unsettled_tree(draw, n, k):
+    """A tree as ``_settled_tree`` draws it, with registers that the rules
+    reach from fresh ones but that need not have settled: each ``d`` at
+    most its true depth, and each ``h`` from its ``d`` to the tree height."""
+    pop = _settled_tree(draw, n, k, draw(st.floats(0.5, 1e3)))
+    d, h = pop.d, pop.h
+    for x in range(n):
+        d[x] = draw(st.integers(0, d[x]))
+        h[x] = draw(st.integers(d[x], h[x]))
+    return pop
+
+
+# kdepth is left out: its targets read ``d`` and ``h``, and the engine builds
+# a mask with an energy protocol only once the estimates have settled.
+@DIFF
+@given(st.data(), st.integers(2, 20), st.integers(2, 3), st.booleans(),
+       st.sampled_from([None, "ideal", "lambda:2", "rand", "kappa:0.5"]), st.sampled_from(LOSSES))
+def test_mask_refreshed_from_the_pair_alone_tracks_unsettled_registers(
+    data, n, k, kary, protocol, loss
+):
+    # UD, UW and UH all fire here. After every step, the mask refreshed from
+    # the pair alone holds what a mask built from scratch holds.
+    pop = _unsettled_tree(data.draw, n, k)
+    formation = FormationProtocol.kary(k) if kary else FormationProtocol.arbitrary()
+    scheduler = RandomScheduler(make_rng(data.draw(st.integers(0, 10**6))), n)
+    driver = None
+    if protocol is not None:
+        protocol = parse_energy_protocol(protocol)
+        driver = LiveEnergyDriver(protocol, LossModel.parse(loss), scheduler.rng,
+                                  pop.energy.total())
+        driver.table = compute_ideal_energies(pop.network, driver.total_energy)
+    mask = ActivePairs(pop, formation, protocol, driver)
+    for _ in range(20 * n):
+        u, v = scheduler.next_pair()
+        apply_formation_rule(formation, pop, u, v)
+        apply_estimation_rules(pop, u, v)
+        moved = driver.move(pop, u, v)[0] if driver else 0.0
+        mask.refresh(u, v, moved)
+        fresh = ActivePairs(pop, formation, protocol, driver)
+        assert (mask.rows, mask.count, mask.structural) == (
+            fresh.rows, fresh.count, fresh.structural)
 
 
 def test_kdepth_root_rows_only_while_the_root_holds_energy():
@@ -327,9 +367,8 @@ def test_kdepth_root_rows_only_while_the_root_holds_energy():
     mask = ActivePairs(pop, FormationProtocol.kary(2), protocol, driver)
     assert all(mask.rows[0]) and pop.energy.per_node[0] > 0.0
     for child in (1, 2):
-        before = (d[0], pop.h[0], pop.w[0], d[child], pop.h[child], pop.w[child])
         moved, _ = driver.move(pop, 0, child)
-        mask.refresh(0, child, before, moved)
+        mask.refresh(0, child, moved)
     assert pop.energy.per_node[0] == 0.0
     assert not any(mask.rows[0])
     assert not any(row[0] for row in mask.rows[1:])
