@@ -6,7 +6,13 @@ energy, and draws nothing from the generator beyond the pair itself. So
 ``RandomScheduler.skip`` may draw through those pairs and the engine runs a
 full step only on a pair in the mask. The rows are in ``skip``'s layout (row
 u, column v as drawn from [0, n - 1), before the shift past u) and hold, per
-oriented pair, how many rule families claim it; a nonzero entry is a stop.
+oriented pair, how many rule families other than UH claim it; a nonzero
+entry is a stop. UH is not written into the rows: ``key`` mirrors ``h``,
+and while ``uh`` (the ordered pairs whose keys differ) is nonzero the engine
+hands ``key`` to ``skip``, which also stops where two keys differ. ``uh`` is
+kept from the count of nodes per key, n(n - 1) less the sum of c(c - 1) over
+the counts c, so a change of ``h`` costs O(1). ``count`` is the rows' sum
+plus ``uh``.
 
 The families, on a completed tree:
 
@@ -18,7 +24,7 @@ The families, on a completed tree:
   (``energy.below_ratio``, the test their move makes; see ``fire_edges``);
   ``rand`` pins every tree edge, since it draws its ratio on each edge
   interaction.
-* UH (height): nodes whose ``h`` differ.
+* UH (height): nodes whose ``h`` differ (by key, not in the rows).
 * A targeted energy protocol: nodes above and below their targets, by the
   protocols' own ``strictly_greater`` test, and a buffer node while it
   holds energy (see ``track_targets``).
@@ -44,13 +50,14 @@ alone; UH writes ``h`` of u and v, which the mask mirrors in ``key``; the
 move writes the energies of u and v; and while ``structural`` is 0 no
 register changes. So ``refresh`` re-tests, in O(n), c's edge and its child
 edges, and after a move under ``lambda`` or ``kappa`` the edges of c's
-parent too (each edge once), and re-keys a node whose ``h`` is not its
-key. Over-approximating is safe: a stop at an idle pair costs one full
-step and never changes a byte.
+parent too (each edge once), and re-keys, in O(1), a node whose ``h`` is
+not its key. Over-approximating is safe: a stop at an idle pair costs one
+full step and never changes a byte.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Optional, Sequence
 
 from .core import Population, strictly_greater
@@ -69,9 +76,9 @@ def reachable(pop: Population, kary: bool) -> bool:
 
 class ActivePairs:
     __slots__ = (
-        "rows", "count", "structural", "parent", "children", "root", "d", "h", "w", "e",
-        "key", "edge_on", "bent", "pinned", "ratio", "uw", "targets", "one_way", "side",
-        "above", "below", "buffers",
+        "rows", "count", "structural", "uh", "parent", "children", "root", "d", "h", "w", "e",
+        "key", "heights", "edge_on", "bent", "pinned", "ratio", "uw", "targets", "one_way",
+        "side", "above", "below", "buffers",
     )
 
     def __init__(
@@ -90,16 +97,12 @@ class ActivePairs:
         self.root = net.roots()[0]
         self.d, self.h, self.w = pop.d, pop.h, pop.w
         self.e = pop.energy.per_node
-        key = self.key = list(self.h)
-        # UH rows: nodes with one h share one row, less their own column
-        shared: dict[int, bytearray] = {}
-        self.rows = []
-        for u, ku in enumerate(key):
-            if ku not in shared:
-                shared[ku] = bytearray(ku != kv for kv in key)
-            self.rows.append(shared[ku][:u] + shared[ku][u + 1:])
-        self.count = sum(map(sum, self.rows))
-        self.structural = self.count // 2
+        self.key = list(self.h)
+        self.heights = Counter(self.key)  # nodes per key
+        self.uh = n * (n - 1) - sum(c * (c - 1) for c in self.heights.values())
+        self.rows = [bytearray(n - 1) for _ in range(n)]
+        self.count = self.uh
+        self.structural = self.uh // 2
         # UW fires only under the k-ary rules
         self.uw = formation is not None and formation.kind == KARY
         self.pinned = False
@@ -200,25 +203,17 @@ class ActivePairs:
             self._pair(p, c, 1 if on else -1)
 
     def _rekey(self, x: int) -> None:
-        key = self.key
+        key, heights = self.key, self.heights
         old = key[x]
         new = key[x] = self.h[x]
-        # Pairs with the old key become active, pairs with the new one idle
-        # (the per-pair upkeep of _pair, inlined: this loop is the hot one).
-        rows = self.rows
-        row = rows[x]
-        count = 0
-        for y, ky in enumerate(key):
-            if ky == old:
-                row[y - (y > x)] += 1
-                rows[y][x - (x > y)] += 1
-                count += 2
-            elif ky == new and y != x:
-                row[y - (y > x)] -= 1
-                rows[y][x - (x > y)] -= 1
-                count -= 2
-        self.count += count
-        self.structural += count // 2
+        heights[old] -= 1
+        # x now differs from the nodes left under its old key and no longer
+        # from those under its new one, in both orientations.
+        gained = heights[old] - heights[new]
+        heights[new] += 1
+        self.uh += 2 * gained
+        self.count += 2 * gained
+        self.structural += gained
 
     def _side(self, x: int) -> None:
         z = self.targets[x]

@@ -3,7 +3,8 @@
 Subcommands: form (grow one tree and emit a snapshot), redistribute (run an
 energy protocol over a snapshot), experiment (seeded repetitions from a JSON
 config), replay (re-execute a trace and verify its digest), sweep (cartesian
-parameter grids of experiments).
+parameter grids of experiments). experiment and sweep take --progress, which
+prints a line per run to stderr and changes no other output.
 
 Exit codes: 0 success, 1 configuration/usage error, malformed input (config,
 snapshot, trace) or an unwritable output, 2 replay digest mismatch.
@@ -15,6 +16,7 @@ import argparse
 import itertools
 import json
 import sys
+import time
 from pathlib import Path
 
 from .energy import LossModel, parse_energy_protocol
@@ -26,9 +28,32 @@ from .runner import simulate
 from .scheduler import RandomScheduler, make_rng, read_trace
 
 
+_PROGRESS_HELP = "print runs done, runs/s and ETA to stderr after each run"
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # exit 1 with one line instead of argparse's usage and 2
         raise ConfigError(message)
+
+
+def _progress(args, total: int) -> dict:
+    """The ``run_experiment`` keywords for ``--progress``: a hook that prints
+    runs done out of ``total``, runs/s and the ETA to stderr after each run.
+    Without the flag there are none, so a caller that wraps
+    ``run_experiment`` may hand it a hook of its own (the benchmark does)."""
+    if not args.progress:
+        return {}
+    start = time.perf_counter()
+    done = 0
+
+    def report(result) -> None:
+        nonlocal done
+        done += 1
+        rate = done / max(time.perf_counter() - start, 1e-9)
+        print(f"progress: {done}/{total} runs, {rate:.1f} runs/s, "
+              f"ETA {(total - done) / rate:.1f} s", file=sys.stderr, flush=True)
+
+    return {"progress": report}
 
 
 def _build_parser() -> _Parser:
@@ -61,6 +86,7 @@ def _build_parser() -> _Parser:
     p_exp.add_argument("--out", default=None, help="output directory")
     p_exp.add_argument("--mode", choices=["twophase", "concurrent"], default=None)
     p_exp.add_argument("--quiet", action="store_true")
+    p_exp.add_argument("--progress", action="store_true", help=_PROGRESS_HELP)
 
     p_rep = sub.add_parser("replay", help="re-execute a trace and verify its digest")
     p_rep.add_argument("--trace", required=True)
@@ -72,6 +98,7 @@ def _build_parser() -> _Parser:
                       help="FIELD=V1,V2,... or a JSON array FIELD=[V1, ...] (once per field)")
     p_sw.add_argument("--out", required=True)
     p_sw.add_argument("--quiet", action="store_true")
+    p_sw.add_argument("--progress", action="store_true", help=_PROGRESS_HELP)
 
     return parser
 
@@ -158,7 +185,7 @@ def _load_config(args) -> ExperimentConfig:
 
 def _cmd_experiment(args) -> int:
     config = _load_config(args)
-    summary = run_experiment(config, out_dir=args.out)
+    summary = run_experiment(config, out_dir=args.out, **_progress(args, config.repetitions))
     agg = summary.aggregate
     _say(
         args,
@@ -209,15 +236,19 @@ def _cmd_sweep(args) -> int:
     if not grid:
         raise ConfigError("sweep needs at least one --grid")
     keys = sorted(grid)
-    out_root = Path(args.out)
+    runs = []
     for combo in itertools.product(*(grid[k] for k in keys)):
         overrides = dict(zip(keys, combo))
         config = ExperimentConfig.from_dict({**base.to_dict(), **overrides})
         name = ",".join(
             f"{k}={str(v).replace(':', '-').replace('/', '-')}" for k, v in overrides.items()
         )
+        runs.append((name, config))
+    progress = _progress(args, sum(config.repetitions for _, config in runs))
+    out_root = Path(args.out)
+    for name, config in runs:
         _say(args, f"sweep {name}")
-        run_experiment(config, out_dir=out_root / name)
+        run_experiment(config, out_dir=out_root / name, **progress)
     return 0
 
 

@@ -426,7 +426,8 @@ def simulate(
                 until = end
             else:  # phase A's next stabilization probe
                 until = min(end, t - (t - formation_steps) % stab_cadence + stab_cadence)
-            k, u, v = scheduler.skip(until - t, mask.rows, drawn)
+            key = mask.key if mask.uh else None  # UH is tested by key, not in the rows
+            k, u, v = scheduler.skip(until - t, mask.rows, drawn, key)
             skipped += k - 1
             t += k
             if drawn is not None and k > 1:

@@ -85,49 +85,79 @@ class RandomScheduler:
         return sample_pair(self.rng, self.n)
 
     def skip(
-        self, limit: int, mask: Sequence[bytes], drawn: Optional[list] = None
+        self,
+        limit: int,
+        mask: Sequence[bytes],
+        drawn: Optional[list] = None,
+        key: Optional[Sequence[int]] = None,
     ) -> tuple[int, int, int]:
         """Draw pairs until one is in ``mask`` or until the ``limit``-th;
         returns how many were drawn and the last pair. ``mask[u][v - (v >
         u)]`` is nonzero for the oriented pairs (u, v) to stop at: row u,
-        column v as drawn from [0, n - 1), before the shift past u.
+        column v as drawn from [0, n - 1), before the shift past u. With
+        ``key``, a pair (u, v) with ``key[u] != key[v]`` is a stop too.
         With ``drawn``, every pair drawn before the last is appended to it."""
         if drawn is not None:
-            return self._skip_recording(limit, mask, drawn)
+            return self._skip_recording(limit, mask, drawn, key)
         n = self.n
         m = n - 1
         ku = n.bit_length()
         kv = m.bit_length()
         bits = self.rng.getrandbits
-        for k in range(1, limit + 1):
-            u = bits(ku)
-            while u >= n:
+        if key is None:
+            for k in range(1, limit + 1):
                 u = bits(ku)
-            v = bits(kv)
-            while v >= m:
+                while u >= n:
+                    u = bits(ku)
                 v = bits(kv)
-            if mask[u][v]:
-                break
+                while v >= m:
+                    v = bits(kv)
+                if mask[u][v]:
+                    break
+        else:
+            for k in range(1, limit + 1):
+                u = bits(ku)
+                while u >= n:
+                    u = bits(ku)
+                v = bits(kv)
+                while v >= m:
+                    v = bits(kv)
+                if mask[u][v] or key[u] != key[v + (v >= u)]:
+                    break
         return k, u, v + (v >= u)
 
-    def _skip_recording(self, limit: int, mask: Sequence[bytes], drawn: list) -> tuple[int, int, int]:
-        # The loop of ``skip``, handing back the pairs it passes over.
+    def _skip_recording(
+        self, limit: int, mask: Sequence[bytes], drawn: list, key: Optional[Sequence[int]]
+    ) -> tuple[int, int, int]:
+        # The loops of ``skip``, handing back the pairs they pass over.
         n = self.n
         m = n - 1
         ku = n.bit_length()
         kv = m.bit_length()
         bits = self.rng.getrandbits
         append = drawn.append
-        for k in range(1, limit + 1):
-            u = bits(ku)
-            while u >= n:
+        if key is None:
+            for k in range(1, limit + 1):
                 u = bits(ku)
-            v = bits(kv)
-            while v >= m:
+                while u >= n:
+                    u = bits(ku)
                 v = bits(kv)
-            if mask[u][v] or k == limit:
-                break
-            append((u, v + (v >= u)))
+                while v >= m:
+                    v = bits(kv)
+                if mask[u][v] or k == limit:
+                    break
+                append((u, v + (v >= u)))
+        else:
+            for k in range(1, limit + 1):
+                u = bits(ku)
+                while u >= n:
+                    u = bits(ku)
+                v = bits(kv)
+                while v >= m:
+                    v = bits(kv)
+                if mask[u][v] or key[u] != key[v + (v >= u)] or k == limit:
+                    break
+                append((u, v + (v >= u)))
         return k, u, v + (v >= u)
 
 
@@ -156,11 +186,16 @@ class ScriptedScheduler:
         return pair
 
     def skip(
-        self, limit: int, mask: Sequence[bytes], drawn: Optional[list] = None
+        self,
+        limit: int,
+        mask: Sequence[bytes],
+        drawn: Optional[list] = None,
+        key: Optional[Sequence[int]] = None,
     ) -> tuple[int, int, int]:
         """``RandomScheduler.skip`` over the trace: the next step whose pair
-        is in ``mask`` or that moved energy, or the ``limit``-th, whichever
-        comes first. DomainError if the trace ends before either."""
+        is in ``mask`` (or, with ``key``, has ``key[u] != key[v]``) or that
+        moved energy, or the ``limit``-th, whichever comes first.
+        DomainError if the trace ends before either."""
         pairs = self.pairs
         start = self.pos
         stop = start + limit
@@ -168,11 +203,22 @@ class ScriptedScheduler:
         j = bisect_left(moved_steps, start)
         if j < len(moved_steps) and moved_steps[j] < stop:
             stop = moved_steps[j] + 1
-        for i in range(start, min(stop, len(pairs))):
-            u, v = pairs[i]
-            if mask[u][v - (v > u)]:
-                break
+        end = min(stop, len(pairs))
+        if key is None:
+            for i in range(start, end):
+                u, v = pairs[i]
+                if mask[u][v - (v > u)]:
+                    break
+            else:
+                i = end
         else:
+            for i in range(start, end):
+                u, v = pairs[i]
+                if mask[u][v - (v > u)] or key[u] != key[v]:
+                    break
+            else:
+                i = end
+        if i == end:  # no pair in the mask before the stop
             i = stop - 1
             if i >= len(pairs):
                 raise DomainError("scripted scheduler exhausted")

@@ -352,6 +352,66 @@ def test_mask_refreshed_from_the_pair_alone_tracks_unsettled_registers(
             fresh.rows, fresh.count, fresh.structural)
 
 
+def _uh(h) -> int:
+    """The ordered pairs of nodes whose ``h`` differ, counted from scratch."""
+    return sum(hx != hy for hx in h for hy in h)
+
+
+@DIFF
+@given(st.data(), st.integers(2, 20), st.integers(2, 3), st.booleans(),
+       st.sampled_from([None, "ideal", "lambda:2", "rand", "kappa:0.5"]), st.sampled_from(LOSSES))
+def test_uh_count_tracks_unsettled_registers_outside_the_rows(data, n, k, kary, protocol, loss):
+    # UH is kept by per-h counts, not in the rows: after every step the
+    # count of UH pairs is the recount, and ``count`` is the rows plus it.
+    pop = _unsettled_tree(data.draw, n, k)
+    formation = FormationProtocol.kary(k) if kary else FormationProtocol.arbitrary()
+    scheduler = RandomScheduler(make_rng(data.draw(st.integers(0, 10**6))), n)
+    driver = None
+    if protocol is not None:
+        protocol = parse_energy_protocol(protocol)
+        driver = LiveEnergyDriver(protocol, LossModel.parse(loss), scheduler.rng,
+                                  pop.energy.total())
+        driver.table = compute_ideal_energies(pop.network, driver.total_energy)
+    mask = ActivePairs(pop, formation, protocol, driver)
+    assert mask.uh == _uh(pop.h)
+    for _ in range(20 * n):
+        u, v = scheduler.next_pair()
+        apply_formation_rule(formation, pop, u, v)
+        apply_estimation_rules(pop, u, v)
+        moved = driver.move(pop, u, v)[0] if driver else 0.0
+        mask.refresh(u, v, moved)
+        assert mask.uh == _uh(pop.h)
+        assert mask.count == sum(map(sum, mask.rows)) + mask.uh
+
+
+@DIFF
+@given(st.data(), st.integers(2, 20), st.integers(2, 3), st.booleans())
+def test_unsettled_heights_on_straight_edges_leave_every_row_empty(data, n, k, kary):
+    # Settled depths and one merge key make every tree edge straight; heights
+    # from each d to the tree height, with the root's 0 and a deepest node's
+    # the height, leave UH pairs. With no protocol no row holds anything,
+    # and the steps of the UH epidemic keep it so.
+    pop = _settled_tree(data.draw, n, k, 1.0)
+    d, h = pop.d, pop.h
+    pop.w[:] = [0] * n
+    for x in range(n):
+        h[x] = data.draw(st.integers(d[x], h[x]))
+    h[0], h[d.index(max(d))] = 0, max(d)
+    formation = FormationProtocol.kary(k) if kary else FormationProtocol.arbitrary()
+    mask = ActivePairs(pop, formation)
+    assert mask.uh == _uh(h) > 0
+    assert not any(map(any, mask.rows))
+    assert (mask.count, mask.structural) == (mask.uh, mask.uh // 2)
+    scheduler = RandomScheduler(make_rng(data.draw(st.integers(0, 10**6))), n)
+    for _ in range(20 * n):
+        u, v = scheduler.next_pair()
+        apply_formation_rule(formation, pop, u, v)
+        apply_estimation_rules(pop, u, v)
+        mask.refresh(u, v, 0.0)
+        assert not any(map(any, mask.rows))
+        assert mask.count == mask.uh == _uh(h)
+
+
 def test_kdepth_root_rows_only_while_the_root_holds_energy():
     # Binary tree of 7 nodes; the root tops up its children until it is
     # empty, and from then on no pair with the root is active.

@@ -1,7 +1,8 @@
 """Fuzzing the CLI input boundary: a damaged snapshot, config, sweep grid or
 ``form`` argument list must give exit code 0, or exit code 1 with one
 ``error:`` line, and never a traceback; a damaged trace may also give exit
-code 2 with one ``replay mismatch:`` line.
+code 2 with one ``replay mismatch:`` line. With ``--progress``, stderr also
+holds one ``progress:`` line per run before that.
 
 The inputs are generated locally by Hypothesis from a valid snapshot of
 ``enertree form``, a valid experiment config and real ``trace.txt`` files,
@@ -111,6 +112,28 @@ def test_experiment_survives_a_damaged_config(name, value):
         cfg = Path(tmp) / "cfg.json"
         cfg.write_text(json.dumps({**BASE, name: value}))
         _run(["experiment", "--config", str(cfg), "--out", str(Path(tmp) / "out"), "--quiet"])
+
+
+@FUZZ
+@given(st.sampled_from(FIELDS), VALUES, st.booleans())
+def test_progress_survives_a_damaged_config(name, value, sweep):
+    # With --progress, stderr holds one "progress:" line per run, counted in
+    # order up to the total, then on exit 1 the one error line.
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "cfg.json"
+        cfg.write_text(json.dumps({**BASE, name: value}))
+        argv = ["sweep", "--grid", "master_seed=1,2"] if sweep else ["experiment"]
+        argv += ["--config", str(cfg), "--out", str(Path(tmp) / "out"), "--quiet", "--progress"]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = cli_main(argv)
+        lines = err.getvalue().splitlines()
+        assert rc in (0, 1), (rc, lines)
+        if rc == 1:
+            assert lines and lines.pop().startswith("error: "), lines
+        else:
+            assert lines and lines[-1].startswith(f"progress: {len(lines)}/{len(lines)} runs, ")
+        assert all(line.startswith(f"progress: {i}/") for i, line in enumerate(lines, 1)), lines
 
 
 def grid_values(key: str):

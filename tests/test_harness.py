@@ -491,6 +491,34 @@ def test_cli_sweep(tmp_path):
         assert (out / d / "summary.json").exists()
 
 
+@pytest.mark.parametrize("argv, runs", [
+    (["experiment", "--out", "{out}"], 3),
+    (["experiment"], 3),  # the summary goes to stdout
+    (["sweep", "--grid", 'loss=["lossless", "normal:0.2,0.05"]', "--out", "{out}"], 6),
+])
+def test_cli_progress_leaves_stdout_and_artifacts_byte_identical(tmp_path, capsys, argv, runs):
+    # --progress writes one line per run to stderr and nothing else: stdout
+    # and every file written are the bytes of the same command without it.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 6, "repetitions": 3, "energy_protocol": "lambda:2",
+                               "emit_traces": True, "emit_metrics": True}))
+    seen = []
+    for flag in ([], ["--progress"]):
+        out = tmp_path / f"out{len(seen)}"
+        args = [a.replace("{out}", str(out)) for a in argv] + ["--config", str(cfg)] + flag
+        assert cli_main(args) == 0
+        captured = capsys.readouterr()
+        files = {p.relative_to(out).as_posix(): p.read_bytes()
+                 for p in sorted(out.rglob("*")) if p.is_file()} if out.exists() else {}
+        seen.append((captured.out, files))
+        lines = captured.err.splitlines()
+        assert len(lines) == (runs if flag else 0)
+        assert all(line.startswith(f"progress: {i}/{runs} runs, ") and " runs/s, ETA " in line
+                   for i, line in enumerate(lines, 1))
+    assert seen[0] == seen[1]
+    assert seen[0][1] or "--out" not in argv
+
+
 def test_cli_sweep_takes_a_json_array_of_values_with_commas(tmp_path):
     # each sweep directory holds the runs.csv of an experiment on its config
     base = {"n": 6, "repetitions": 2, "energy_protocol": "ideal"}

@@ -123,6 +123,41 @@ def test_skip_reproduces_sample_pair(n):
     assert fast.getstate() == slow.getstate()
 
 
+def _keys(rng, n):
+    """Keys for a keyed skip: all equal, or up to three nodes off the rest."""
+    key = [0] * n
+    for x in rng.sample(range(n), rng.randint(0, min(n, 3))):
+        key[x] = rng.randint(1, 2)
+    return key
+
+
+@pytest.mark.parametrize("n", [2, 3, 17, 30, 100])
+def test_keyed_skip_reproduces_sample_pair(n):
+    # 100k pairs through the keyed loops, against pair-by-pair sampling:
+    # every pair they pass over is outside the mask and has equal keys, and
+    # they stop on the first pair inside it or with differing keys, or on
+    # the limit-th.
+    fast, slow, keys = make_rng(n), make_rng(n), random.Random(n)
+    scheduler = RandomScheduler(fast, n)
+    stops = {(u, v) for u, v in [(0, 1), (n - 1, n // 2)] if u != v}
+    mask = pair_mask(n, stops)
+    limits = [1, 2, 5, 40, 300]
+    drawn = skips = 0
+    while drawn < 100_000:
+        key = _keys(keys, n)
+        limit = limits[skips % len(limits)]
+        handed = [] if skips % 2 else None  # every other skip records
+        k, u, v = scheduler.skip(limit, mask, handed, key)
+        passed = [sample_pair(slow, n) for _ in range(k - 1)]
+        assert all((x, y) not in stops and key[x] == key[y] for x, y in passed)
+        assert handed is None or handed == passed
+        assert (u, v) == sample_pair(slow, n)
+        assert (u, v) in stops or key[u] != key[v] or k == limit
+        drawn += k
+        skips += 1
+    assert fast.getstate() == slow.getstate()
+
+
 def test_skip_leaves_the_generator_state_of_step_sampling():
     # gauss() caches its second value; skipping draws whole pairs only, so
     # the cached value and every later draw stay in step.
@@ -234,6 +269,40 @@ def test_scripted_scheduler_replays_recorded_moves():
     assert sched.next_pair() == (2, 0)
     assert sched.move(pop, 2, 0) == (0.0, None)
     assert pop.energy.per_node == [10.0, 13.0, 6.0]
+
+
+def test_keyed_scripted_skip_plays_the_script():
+    # The keyed skip over a script with recorded moves, against stepping
+    # through it pair by pair: it stops on the first step whose pair is in
+    # the mask or has differing keys, or that moved energy, or on the
+    # limit-th, and raises once the script runs out first.
+    n = 8
+    rng = random.Random(3)
+    script = [sample_pair(rng, n) for _ in range(20_000)]
+    trace = _script(script)
+    moved = set(rng.sample(range(len(script) - 1000), 50))  # none in the tail
+    trace.moves = {step: (1.0, None) for step in moved}
+    stops = {(0, 1), (5, 2)}
+    mask = pair_mask(n, stops)
+    sched = ScriptedScheduler(trace)
+    limits = [1, 2, 5, 40, 300]
+    pos = skips = 0
+    while pos + max(limits) < len(script):
+        key = _keys(rng, n)
+        limit = limits[skips % len(limits)]
+        handed = [] if skips % 2 else None
+        k, u, v = sched.skip(limit, mask, handed, key)
+        passed = script[pos:pos + k - 1]
+        assert all((x, y) not in stops and key[x] == key[y] for x, y in passed)
+        assert moved.isdisjoint(range(pos, pos + k - 1))
+        assert handed is None or handed == passed
+        assert (u, v) == script[pos + k - 1]
+        assert (u, v) in stops or key[u] != key[v] or pos + k - 1 in moved or k == limit
+        pos += k
+        skips += 1
+        assert sched.pos == pos
+    with pytest.raises(DomainError):
+        sched.skip(len(script), pair_mask(n, []), None, [0] * n)
 
 
 def test_read_trace_validates_pairs():
