@@ -236,19 +236,15 @@ def _cmd_sweep(args) -> int:
     if not grid:
         raise ConfigError("sweep needs at least one --grid")
     keys = sorted(grid)
-    runs = []
+    out_root = Path(args.out)
     for combo in itertools.product(*(grid[k] for k in keys)):
         overrides = dict(zip(keys, combo))
         config = ExperimentConfig.from_dict({**base.to_dict(), **overrides})
         name = ",".join(
             f"{k}={str(v).replace(':', '-').replace('/', '-')}" for k, v in overrides.items()
         )
-        runs.append((name, config))
-    progress = _progress(args, sum(config.repetitions for _, config in runs))
-    out_root = Path(args.out)
-    for name, config in runs:
         _say(args, f"sweep {name}")
-        run_experiment(config, out_dir=out_root / name, **progress)
+        run_experiment(config, out_dir=out_root / name, **_progress(args, config.repetitions))
     return 0
 
 

@@ -70,7 +70,10 @@ class RandomScheduler:
     The loop is ``sample_pair`` inlined, kept separate for speed and pinned
     against it by the tests: the same generator calls in the same order, so
     the pairs, and the generator state after each of them, are the ones
-    pair-by-pair sampling gives.
+    pair-by-pair sampling gives. Each loop comes twice, without and with
+    ``key``: testing a key on every draw of a redistribution skip, where
+    no keys differ, costs ``edge_lambda_n30`` about a tenth of its steps/s
+    (``BENCH_uh_keys.json``, ``keyed_only``).
     """
 
     __slots__ = ("rng", "n")

@@ -17,6 +17,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -118,7 +119,8 @@ def test_experiment_survives_a_damaged_config(name, value):
 @given(st.sampled_from(FIELDS), VALUES, st.booleans())
 def test_progress_survives_a_damaged_config(name, value, sweep):
     # With --progress, stderr holds one "progress:" line per run, counted in
-    # order up to the total, then on exit 1 the one error line.
+    # order up to each experiment's total (a sweep restarts the count at each
+    # combination), then on exit 1 the one error line.
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "cfg.json"
         cfg.write_text(json.dumps({**BASE, name: value}))
@@ -131,9 +133,15 @@ def test_progress_survives_a_damaged_config(name, value, sweep):
         assert rc in (0, 1), (rc, lines)
         if rc == 1:
             assert lines and lines.pop().startswith("error: "), lines
-        else:
-            assert lines and lines[-1].startswith(f"progress: {len(lines)}/{len(lines)} runs, ")
-        assert all(line.startswith(f"progress: {i}/") for i, line in enumerate(lines, 1)), lines
+        done = total = 0
+        for line in lines:
+            m = re.match(r"progress: (\d+)/(\d+) runs, ", line)
+            assert m, lines
+            if done == total:  # the first run of the next experiment
+                done, total = 0, int(m[2])
+            assert (int(m[1]), int(m[2])) == (done + 1, total), lines
+            done += 1
+        assert rc == 1 or (lines and done == total), lines
 
 
 def grid_values(key: str):
