@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -187,14 +188,15 @@ def _cmd_experiment(args) -> int:
     config = _load_config(args)
     summary = run_experiment(config, out_dir=args.out, **_progress(args, config.repetitions))
     agg = summary.aggregate
+    ed = agg["ed_percent"]["mean"]  # None (null in summary.json) when no tree formed
     _say(
         args,
         f"runs={agg['repetitions']} converged={agg['converged_count']} "
-        f"tau={agg['tau']['mean']:.1f} ed%={agg['ed_percent']['mean']:.2f} "
+        f"tau={agg['tau']['mean']:.1f} ed%={math.nan if ed is None else ed:.2f} "
         f"loss%={agg['loss_percent']['mean']:.2f}",
     )
     if args.out is None and not args.quiet:
-        print(json.dumps(summary.to_json_dict(), indent=2, sort_keys=True))
+        print(json.dumps(summary.to_json_dict(), indent=2, sort_keys=True, allow_nan=False))
     return 0
 
 

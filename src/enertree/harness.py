@@ -108,16 +108,11 @@ class ExperimentConfig:
     def resolved_total(self) -> float:
         return self.n * 1e3 if self.total_energy is None else self.total_energy
 
-    def resolved_budget(self) -> int:
-        return default_budget(self.n) if self.step_budget is None else self.step_budget
-
-    def resolved_window(self) -> int:
-        return default_window(self.n) if self.quiescence_window is None else self.quiescence_window
-
     def engine_args(self) -> dict:
         """The ``simulate`` keywords this config fixes, for live runs and
-        replay alike."""
-        budget = self.resolved_budget()
+        replay alike. A budget or window left out is written out as
+        ``simulate``'s default, which the benchmark's tracer reads."""
+        budget = self.step_budget or default_budget(self.n)
         return dict(
             formation=self.formation(),
             energy_protocol=self.energy(),
@@ -125,7 +120,7 @@ class ExperimentConfig:
             phase_mode=self.phase_mode,
             formation_budget=budget,
             energy_budget=budget,
-            window=self.resolved_window(),
+            window=self.quiescence_window or default_window(self.n),
             metric_cadence=self.metric_cadence,
             target_basis=self.target_energy_basis,
         )
@@ -298,7 +293,8 @@ def population_stddev(values: Sequence[float]) -> float:
 
 def aggregate_rows(rows: list[dict]) -> dict:
     """Mean and population stddev of each numeric column, plus convergence
-    counts. NaNs (never-formed runs) are excluded per column."""
+    counts. NaNs (never-formed runs) are excluded per column; a column with
+    no other value has None for both, which summary.json writes as null."""
     out: dict = {"repetitions": len(rows)}
     for name in AGGREGATE_FIELDS:
         values = [r[name] for r in rows if not math.isnan(r[name])]
@@ -308,7 +304,7 @@ def aggregate_rows(rows: list[dict]) -> dict:
                 "stddev": population_stddev(values),
             }
         else:
-            out[name] = {"mean": math.nan, "stddev": math.nan}
+            out[name] = {"mean": None, "stddev": None}
     out["converged_count"] = sum(int(r["converged"]) for r in rows)
     return out
 
@@ -364,7 +360,7 @@ def run_experiment(
             for row in rows:
                 writer.writerow({k: repr(v) if isinstance(v, float) else v for k, v in row.items()})
         (out / "summary.json").write_text(
-            json.dumps(summary.to_json_dict(), indent=2, sort_keys=True) + "\n"
+            json.dumps(summary.to_json_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n"
         )
     return summary
 

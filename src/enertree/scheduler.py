@@ -67,13 +67,17 @@ class RandomScheduler:
     """Uniform pairwise scheduler; one call per discrete time step.
 
     ``skip`` draws pairs in a tight loop until one matters to the caller.
-    The loop is ``sample_pair`` inlined, kept separate for speed and pinned
-    against it by the tests: the same generator calls in the same order, so
-    the pairs, and the generator state after each of them, are the ones
-    pair-by-pair sampling gives. Each loop comes twice, without and with
-    ``key``: testing a key on every draw of a redistribution skip, where
-    no keys differ, costs ``edge_lambda_n30`` about a tenth of its steps/s
-    (``BENCH_uh_keys.json``, ``keyed_only``).
+    Each of its two loops is ``sample_pair`` inlined, kept separate for
+    speed and pinned against it by the tests: the same generator calls in
+    the same order, so the pairs, and the generator state after each of
+    them, are the ones pair-by-pair sampling gives. The fast loop tests the
+    mask alone and serves every untraced skip without ``key``; the general
+    loop serves the rest. The fast loop stays because the general loop
+    alone cost ``edge_lambda_n30`` 0.896x its steps/s (``BENCH_uh_keys.json``,
+    ``keyed_only``): every redistribution skip tested a key on each draw.
+    The general loop, like the scripted one, tests a key only when given:
+    reading a missing key as all-equal bytes was 0.98x ``trace_replay_n30``
+    steps/s (``BENCH_skip_loops.json``).
     """
 
     __slots__ = ("rng", "n")
@@ -100,14 +104,12 @@ class RandomScheduler:
         column v as drawn from [0, n - 1), before the shift past u. With
         ``key``, a pair (u, v) with ``key[u] != key[v]`` is a stop too.
         With ``drawn``, every pair drawn before the last is appended to it."""
-        if drawn is not None:
-            return self._skip_recording(limit, mask, drawn, key)
         n = self.n
         m = n - 1
         ku = n.bit_length()
         kv = m.bit_length()
         bits = self.rng.getrandbits
-        if key is None:
+        if key is None and drawn is None:
             for k in range(1, limit + 1):
                 u = bits(ku)
                 while u >= n:
@@ -117,51 +119,20 @@ class RandomScheduler:
                     v = bits(kv)
                 if mask[u][v]:
                     break
-        else:
-            for k in range(1, limit + 1):
+            return k, u, v + (v >= u)
+        append = ([] if drawn is None else drawn).append
+        for k in range(1, limit + 1):
+            u = bits(ku)
+            while u >= n:
                 u = bits(ku)
-                while u >= n:
-                    u = bits(ku)
+            v = bits(kv)
+            while v >= m:
                 v = bits(kv)
-                while v >= m:
-                    v = bits(kv)
-                if mask[u][v] or key[u] != key[v + (v >= u)]:
-                    break
-        return k, u, v + (v >= u)
-
-    def _skip_recording(
-        self, limit: int, mask: Sequence[bytes], drawn: list, key: Optional[Sequence[int]]
-    ) -> tuple[int, int, int]:
-        # The loops of ``skip``, handing back the pairs they pass over.
-        n = self.n
-        m = n - 1
-        ku = n.bit_length()
-        kv = m.bit_length()
-        bits = self.rng.getrandbits
-        append = drawn.append
-        if key is None:
-            for k in range(1, limit + 1):
-                u = bits(ku)
-                while u >= n:
-                    u = bits(ku)
-                v = bits(kv)
-                while v >= m:
-                    v = bits(kv)
-                if mask[u][v] or k == limit:
-                    break
-                append((u, v + (v >= u)))
-        else:
-            for k in range(1, limit + 1):
-                u = bits(ku)
-                while u >= n:
-                    u = bits(ku)
-                v = bits(kv)
-                while v >= m:
-                    v = bits(kv)
-                if mask[u][v] or key[u] != key[v + (v >= u)] or k == limit:
-                    break
-                append((u, v + (v >= u)))
-        return k, u, v + (v >= u)
+            w = v + (v >= u)
+            if mask[u][v] or k == limit or key is not None and key[u] != key[w]:
+                break
+            append((u, w))
+        return k, u, w
 
 
 class ScriptedScheduler:
@@ -198,7 +169,8 @@ class ScriptedScheduler:
         """``RandomScheduler.skip`` over the trace: the next step whose pair
         is in ``mask`` (or, with ``key``, has ``key[u] != key[v]``) or that
         moved energy, or the ``limit``-th, whichever comes first.
-        DomainError if the trace ends before either."""
+        DomainError if the trace ends before either. One loop serves every
+        call, with and without ``key``."""
         pairs = self.pairs
         start = self.pos
         stop = start + limit
@@ -207,20 +179,12 @@ class ScriptedScheduler:
         if j < len(moved_steps) and moved_steps[j] < stop:
             stop = moved_steps[j] + 1
         end = min(stop, len(pairs))
-        if key is None:
-            for i in range(start, end):
-                u, v = pairs[i]
-                if mask[u][v - (v > u)]:
-                    break
-            else:
-                i = end
+        for i in range(start, end):
+            u, v = pairs[i]
+            if mask[u][v - (v > u)] or key is not None and key[u] != key[v]:
+                break
         else:
-            for i in range(start, end):
-                u, v = pairs[i]
-                if mask[u][v - (v > u)] or key[u] != key[v]:
-                    break
-            else:
-                i = end
+            i = end
         if i == end:  # no pair in the mask before the stop
             i = stop - 1
             if i >= len(pairs):

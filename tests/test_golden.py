@@ -2,9 +2,10 @@
 
 Each case runs one experiment into a temporary directory and hashes, in a
 fixed order, ``runs.csv``, ``summary.json``, every per-run ``metrics.csv``
-and ``trace.txt``, and each run's final snapshot digest. The pinned values
-were produced by the step-by-step engine; any change to the engine that
-alters a single output byte shows here.
+and ``trace.txt``, and each run's final snapshot digest. Each case's
+``summary.json`` must also parse as strict JSON (no ``NaN``). The pinned
+values were produced by the step-by-step engine; any change to the engine
+that alters a single output byte shows here.
 
 To re-pin after a deliberate change of output, run
 ``python tests/test_golden.py`` and review the printed table.
@@ -13,6 +14,7 @@ To re-pin after a deliberate change of output, run
 from __future__ import annotations
 
 import hashlib
+import json
 import tempfile
 from pathlib import Path
 
@@ -184,15 +186,22 @@ GOLDEN = {
     "n30-kdepth:2-lossless": "7b80a2fab90ed4d3669e",
     "n30-kdepth:2-normal": "dbb7c160b8e03afceec2",
     "n30-lambda:2-arbitrary": "76b9ebe7507e814e9e13",
-    "n30-lambda:2-budget60-concurrent": "78e591711b4da8032861",
-    "n30-lambda:2-budget60-twophase": "a90799e4b23f3595edcb",
+    "n30-lambda:2-budget60-concurrent": "18f9aa05210ac270c103",
+    "n30-lambda:2-budget60-twophase": "7dc3c5196b00393f3bd9",
     "n30-lambda:2-concurrent": "46e27f58299c74b982bb",
 }
 
 
+def _not_json(constant: str):
+    raise ValueError(f"summary.json holds {constant}, which JSON does not allow")
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_artifacts_match_golden(name, tmp_path):
-    assert artifact_digest(CASES[name], tmp_path) == GOLDEN[name]
+    digest = artifact_digest(CASES[name], tmp_path)
+    # summary.json is strict JSON: an aggregate no run gave is null, not NaN.
+    json.loads((tmp_path / "summary.json").read_text(), parse_constant=_not_json)
+    assert digest == GOLDEN[name]
 
 
 if __name__ == "__main__":

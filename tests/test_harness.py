@@ -21,7 +21,7 @@ from enertree.harness import (
     split_initial_energy,
 )
 from enertree.metrics import distribution_distance
-from enertree.runner import default_budget, simulate
+from enertree.runner import default_budget, default_window, simulate
 from enertree.scheduler import make_rng, read_trace, write_trace
 
 from conftest import DEMO_EDGES, DEMO_ENERGIES, build_tree
@@ -31,8 +31,21 @@ from conftest import DEMO_EDGES, DEMO_ENERGIES, build_tree
 def test_config_defaults():
     config = ExperimentConfig(n=10)
     assert config.resolved_total() == 10_000.0
-    assert config.resolved_budget() == 500 * 45
-    assert config.resolved_window() == 10 * 45
+    assert default_budget(10) == 500 * 45
+    assert default_window(10) == 10 * 45
+
+
+def test_defaults_left_out_run_as_defaults_written_out():
+    # A budget, window, cadence or total left out resolves to the values a
+    # config can write out.
+    implicit = ExperimentConfig(n=12, repetitions=1, loss="normal:0.2,0.05")
+    explicit = ExperimentConfig(
+        n=12, repetitions=1, loss="normal:0.2,0.05", total_energy=12e3,
+        step_budget=default_budget(12), quiescence_window=default_window(12), metric_cadence=12,
+    )
+    a, b = run_single(implicit, 0), run_single(explicit, 0)
+    assert a.row() == b.row()
+    assert a.outcome.digest == b.outcome.digest
 
 
 def test_config_rejects_bad_values():
