@@ -44,6 +44,7 @@ from .harness import (
 )
 from .metrics import (
     ConvergenceReport,
+    MetricRun,
     MetricSample,
     distribution_distance,
     energy_distance,

@@ -165,7 +165,7 @@ def _cmd_redistribute(args) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        write_metrics_csv(outcome.samples, out / "metrics.csv")
+        write_metrics_csv(outcome.metric_runs, out / "metrics.csv")
         (out / "final_snapshot.txt").write_text("\n".join(snapshot_lines(pop)) + "\n")
     return 0
 

@@ -45,6 +45,15 @@ from .scheduler import (
 UNIFORM = "uniform"
 RANDOM = "random"
 
+# The largest population a config may ask for. Two costs grow as n^2: once
+# the tree forms, the active-pair mask holds n(n - 1) bytes of rows (100 MB
+# at n = 10^4, 10 GB at 10^5), and the default budget is 500 * C(n, 2)
+# steps per phase (2.5e10 at 10^4, hours of stepping at a few million
+# steps/s). At 10^4 the mask still fits in memory; beyond it, neither a
+# run's memory nor its default budget is practical.
+MAX_N = 10_000
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     n: int = 10
@@ -69,6 +78,8 @@ class ExperimentConfig:
             value = getattr(self, name)
             if (value is not None or name in required) and (type(value) is not int or value < 1):
                 raise ConfigError(f"{name} must be an integer >= 1 (got {value!r})")
+        if self.n > MAX_N:
+            raise ConfigError(f"n must be at most {MAX_N} (got {self.n})")
         if type(self.master_seed) is not int:
             raise ConfigError(f"master_seed must be an integer (got {self.master_seed!r})")
         for name in ("emit_traces", "emit_metrics"):
@@ -346,8 +357,8 @@ def run_experiment(
         if out is not None and (config.emit_metrics or config.emit_traces):
             run_dir = out / f"run_{i}"
             run_dir.mkdir(exist_ok=True)
-            if config.emit_metrics and result.outcome.samples:
-                write_metrics_csv(result.outcome.samples, run_dir / "metrics.csv")
+            if config.emit_metrics and result.outcome.metric_runs:
+                write_metrics_csv(result.outcome.metric_runs, run_dir / "metrics.csv")
             if config.emit_traces and result.outcome.trace is not None:
                 write_trace(result.outcome.trace, run_dir / "trace.txt")
                 result.outcome.trace = None  # trace.txt holds it now

@@ -12,11 +12,10 @@ doubling shares: the total misplaced energy.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .core import EnergyState, TreeNetwork
 from .energy import DD_ZERO, QUIESCENCE, IdealEnergyTable
@@ -115,15 +114,31 @@ class MetricSample:
     lost: float
 
 
+class MetricRun(NamedTuple):
+    """The samples at ``steps`` (a cadence range), which all hold the same
+    distribution distance, total energy and loss."""
+
+    steps: range
+    dd: float
+    total_energy: float
+    lost: float
+
+
 METRICS_HEADER = ["step", "dd", "total_energy", "lost"]
 
 
-def write_metrics_csv(samples: Iterable[MetricSample], path: "str | Path") -> None:
+def write_metrics_csv(runs: Iterable[MetricRun], path: "str | Path") -> None:
+    """One row per step of each run, in the bytes ``csv.writer`` gives the
+    rows ``[step, repr(dd), repr(total_energy), repr(lost)]``: it quotes no
+    int and no float repr, and ends each line with CRLF. A run's three
+    floats are formatted once."""
+    parts = [",".join(METRICS_HEADER), "\r\n"]
+    for run in runs:
+        if run.steps:
+            tail = f",{run.dd!r},{run.total_energy!r},{run.lost!r}\r\n"
+            parts += (tail.join(map(str, run.steps)), tail)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(METRICS_HEADER)
-        for s in samples:
-            writer.writerow([s.step, repr(s.dd), repr(s.total_energy), repr(s.lost)])
+        fh.write("".join(parts))
 
 
 @dataclass

@@ -26,13 +26,15 @@ records it as the step path would (``_idle_rules``).
 
 A ``_Tally`` keeps the books of the redistribution phase at each stop: the
 distribution distance, the metric samples and the convergence detector's
-feed. A cadence step after a move decides nothing, so a skip passes over
-it and the next stop resyncs the distance for it and writes its samples;
-only a dd-zero run whose distance is within ``dd_drift`` of its tolerance
-stops there, since that resync could bring the verdict. A replay masks
-only the formation and estimation rules, and its scheduler also stops at
-each recorded move. Validation and concurrent mode before stabilization
-keep the step path.
+feed. The samples are held as runs (``MetricRun``): the cadence steps a
+stop or a jump passes over all hold one state, so they make one run, and
+``SimOutcome.samples`` expands the runs. A cadence step after a move
+decides nothing, so a skip passes over it and the next stop resyncs the
+distance for it and writes its samples; only a dd-zero run whose distance
+is within ``dd_drift`` of its tolerance stops there, since that resync
+could bring the verdict. A replay masks only the formation and estimation
+rules, and its scheduler also stops at each recorded move. Validation and
+concurrent mode before stabilization keep the step path.
 """
 
 from __future__ import annotations
@@ -68,6 +70,7 @@ from .formation import (
 from .metrics import (
     ConvergenceDetector,
     ConvergenceReport,
+    MetricRun,
     MetricSample,
     distribution_distance,
     incident_distance,
@@ -144,7 +147,7 @@ class SimOutcome:
     estimation_steps: int
     total_steps: int
     report: Optional[ConvergenceReport] = None
-    samples: list[MetricSample] = field(default_factory=list)
+    metric_runs: list[MetricRun] = field(default_factory=list)
     ideal: Optional[IdealEnergyTable] = None
     basis_total: Optional[float] = None
     trace: Optional[InteractionTrace] = None
@@ -153,6 +156,12 @@ class SimOutcome:
     @property
     def digest(self) -> str:
         return snapshot_digest(self.pop)
+
+    @property
+    def samples(self) -> list[MetricSample]:
+        """The metric samples, one per step of each run, in step order."""
+        return [MetricSample(c, r.dd, r.total_energy, r.lost)
+                for r in self.metric_runs for c in r.steps]
 
 
 def _idle_rules(pairs: list[tuple[int, int]], start: int, parent: list[int], kary: bool):
@@ -193,12 +202,14 @@ class _Tally:
     the distribution distance ``dd``, updated at each move and recomputed in
     full (a resync) when an edge joins, at the first stop from a cadence step
     on after a move (``dirty``), before a dd-zero verdict and at the end; the
-    metric samples; the detector's feed; the ideal shares of the complete
-    tree; and ``until``, the first later step that decides something."""
+    metric samples, as ``runs``: each ``_sample`` call appends one
+    ``MetricRun`` for the cadence steps it covers, all of one state; the
+    detector's feed; the ideal shares of the complete tree; and ``until``,
+    the first later step that decides something."""
 
     __slots__ = (
         "pop", "net", "energy", "driver", "detector", "basis_total", "t0", "cadence",
-        "record", "dd_zero", "edges", "ideal", "observing", "dd", "dirty", "samples", "last",
+        "record", "dd_zero", "edges", "ideal", "observing", "dd", "dirty", "runs", "last",
         "until", "margin",
     )
 
@@ -215,7 +226,7 @@ class _Tally:
         self.observing = not self.dd_zero
         if complete:
             self.completed()
-        self.samples: list[MetricSample] = []
+        self.runs: list[MetricRun] = []
         self.resync()
         self.stop(t0)
         if self.net.n == 1:  # a single node: nothing can ever move
@@ -235,12 +246,11 @@ class _Tally:
         self.dirty = False
 
     def _sample(self, first: int, last: int) -> None:
-        # A sample at each cadence step from ``first`` to ``last`` (from
-        # t0), all of the current dd, total and loss.
-        e, dd = self.energy, self.dd
-        total, lost = e.total(), e.lost
-        self.samples += [MetricSample(c, dd, total, lost)
-                         for c in range(first, last + 1, self.cadence)]
+        # One run of samples at the cadence steps from ``first`` to ``last``
+        # (from t0), all of the current dd, total and loss.
+        e = self.energy
+        steps = range(first, last + 1, self.cadence)
+        self.runs.append(MetricRun(steps, self.dd, e.total(), e.lost))
 
     def stop(self, t: int, u: Optional[int] = None, v: Optional[int] = None,
              joined: bool = False) -> tuple[float, Optional[float]]:
@@ -292,13 +302,14 @@ class _Tally:
         self.until = until
         return moved, beta
 
-    def end(self, t: int) -> list[MetricSample]:
-        """The samples, with one at the last step t if it is off the cadence."""
+    def end(self, t: int) -> list[MetricRun]:
+        """The sample runs, with one at the last step t if it is off the
+        cadence."""
         s = t - self.t0
         if self.record and s % self.cadence:
             self.resync()
             self._sample(s, s)
-        return self.samples
+        return self.runs
 
 
 def simulate(
@@ -486,7 +497,7 @@ def simulate(
     )
     if tally is not None:
         outcome.report = detector.report()
-        outcome.samples = tally.end(t)
+        outcome.metric_runs = tally.end(t)
         outcome.ideal = tally.ideal
         outcome.basis_total = basis_total
     elif driver is not None:

@@ -9,10 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from enertree import harness
 from enertree.cli import main as cli_main
 from enertree.errors import ConfigError, ReplayMismatch
 from enertree.formation import load_snapshot
 from enertree.harness import (
+    MAX_N,
     ExperimentConfig,
     population_stddev,
     replay_trace,
@@ -482,6 +484,40 @@ def test_cli_replay_rejects_malformed_trace(tmp_path, capsys, edit, message):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+
+
+@pytest.mark.parametrize("n", [MAX_N + 1, 10**10])
+@pytest.mark.parametrize("command", ["experiment", "form", "sweep", "replay"])
+def test_cli_rejects_a_huge_n_before_building_anything(tmp_path, capsys, monkeypatch, n,
+                                                       command):
+    def built(*args):
+        raise AssertionError("a population was built")
+
+    cfg = ExperimentConfig(n=6, energy_protocol="ideal", master_seed=4)
+    trace = tmp_path / "trace.txt"
+    write_trace(run_single(cfg, 0, record_trace=True).outcome.trace, trace)
+    lines = trace.read_text().splitlines()
+    lines[2] = "# config=" + json.dumps({**cfg.to_dict(), "n": n})
+    trace.write_text("\n".join(lines) + "\n")
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"n": 5, "repetitions": 1}))
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps({"n": n, "repetitions": 1}))
+    argv = {
+        "experiment": ["--config", str(huge)],
+        "form": ["--n", str(n)],
+        "sweep": ["--config", str(config), "--grid", f"n={n}", "--out", str(tmp_path / "out")],
+        "replay": ["--trace", str(trace)],
+    }[command]
+    monkeypatch.setattr(harness, "split_initial_energy", built)
+    monkeypatch.setattr(harness, "build_population", built)
+    assert cli_main([command, *argv, "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: n must be at most {MAX_N} (got {n})\n"
+
+
+def test_config_accepts_the_largest_n():
+    assert ExperimentConfig(n=MAX_N).n == MAX_N  # built, never run
 
 
 def test_cli_rejects_unknown_flags(capsys):

@@ -1,4 +1,8 @@
+import csv
+import math
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -21,11 +25,15 @@ from enertree import runner
 from enertree.errors import DomainError
 from enertree.harness import ExperimentConfig, run_single
 from enertree.metrics import (
+    METRICS_HEADER,
     ConvergenceDetector,
+    MetricRun,
+    MetricSample,
     distribution_distance,
     energy_distance,
     incident_distance,
     line_potential,
+    write_metrics_csv,
 )
 from enertree.scheduler import RandomScheduler, make_rng, sample_pair
 
@@ -313,3 +321,76 @@ def test_loss_fraction_single_transfer():
     e = EnergyState([600.0, 400.0])
     e.transfer(0, 1, 100.0, beta=0.2)
     assert e.lost / 1000.0 == pytest.approx(0.02)
+
+
+# ---------------------------------------------------------------- metrics.csv
+def _csv_writer_metrics(samples, path):
+    """The metrics.csv writer before samples were held as runs: one
+    ``csv.writer`` row per sample. The reference for the bytes."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(METRICS_HEADER)
+        for s in samples:
+            writer.writerow([s.step, repr(s.dd), repr(s.total_energy), repr(s.lost)])
+
+
+def _expand(runs):
+    return [MetricSample(c, r.dd, r.total_energy, r.lost) for r in runs for c in r.steps]
+
+
+def _both_writers(runs) -> tuple[bytes, bytes]:
+    with tempfile.TemporaryDirectory() as tmp:
+        new, old = Path(tmp) / "new.csv", Path(tmp) / "old.csv"
+        write_metrics_csv(runs, new)
+        _csv_writer_metrics(_expand(runs), old)
+        return new.read_bytes(), old.read_bytes()
+
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, 1e-320, 1e300, math.nan]
+METRIC_FLOATS = st.sampled_from(EDGE_FLOATS) | st.floats(allow_nan=True, allow_infinity=True)
+
+
+@st.composite
+def metric_runs(draw) -> list[MetricRun]:
+    cadence = draw(st.sampled_from([1, 30]))  # n <= 10 samples every step, n = 30 every 30th
+    runs, step = [], 0
+    for _ in range(draw(st.integers(0, 6))):
+        count = draw(st.sampled_from([0, 1, 1, 2, 500]) | st.integers(0, 40))
+        steps = range(step, step + count * cadence, cadence)
+        runs.append(MetricRun(steps, draw(METRIC_FLOATS), draw(METRIC_FLOATS), draw(METRIC_FLOATS)))
+        step = steps.stop
+    return runs
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(metric_runs())
+def test_metrics_csv_is_the_bytes_of_the_csv_writer(runs):
+    new, old = _both_writers(runs)
+    assert new == old
+
+
+@pytest.mark.parametrize("runs", [
+    pytest.param([], id="header-only"),
+    pytest.param([MetricRun(range(7, 8), x, x, x) for x in EDGE_FLOATS], id="one-step-runs"),
+    pytest.param([MetricRun(range(0, 3000, 1), 0.5, 10.0, 0.0),
+                  MetricRun(range(3000, 90000, 30), -0.0, 1e300, 5e-324),
+                  MetricRun(range(90001, 90002), 1e-320, math.nan, 0.25)], id="long-runs"),
+])
+def test_metrics_csv_edge_cases_match_the_csv_writer(runs):
+    new, old = _both_writers(runs)
+    assert new == old
+    assert new.startswith(b"step,dd,total_energy,lost\r\n") and new.endswith(b"\r\n")
+    assert new.count(b"\r\n") == 1 + sum(len(r.steps) for r in runs)
+
+
+def test_samples_expand_the_metric_runs_in_step_order():
+    config = ExperimentConfig(n=12, energy_protocol="ideal", loss="normal:0.2,0.05",
+                              initial_energy="random", metric_cadence=5)
+    outcome = run_single(config, 0, record_metrics=True).outcome
+    runs, samples = outcome.metric_runs, outcome.samples
+    assert samples == _expand(runs)
+    steps = [s.step for s in samples]
+    # one sample per cadence step, plus the last step when it is off the cadence
+    grid = list(range(0, steps[-1] + 1, 5))
+    assert steps in (grid, grid + steps[-1:]) and len(steps) > 2
+    assert len(runs) < len(samples)  # the quiet tail is one run, not a run per step
