@@ -45,7 +45,6 @@ from .harness import (
 from .metrics import (
     ConvergenceReport,
     MetricRun,
-    MetricSample,
     distribution_distance,
     energy_distance,
     line_potential,

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Union, get_args
 
 from .core import (
@@ -339,8 +340,13 @@ def compute_ideal_energies(network: TreeNetwork, total_energy: float) -> IdealEn
         raise DomainError("total energy must be positive")
     depth, height = true_depths(network)
     denom = sum(2 ** (height - d) for d in depth)
-    base = total_energy / denom
-    values = tuple(2 ** (height - d) * base for d in depth)
+    try:
+        base = total_energy / denom
+        values = tuple(2 ** (height - d) * base for d in depth)
+    except OverflowError:  # 2^height is past the float range: each share exact, rounded once
+        exact = Fraction(total_energy) / denom
+        base = float(exact)
+        values = tuple(float(exact * 2 ** (height - d)) for d in depth)
     return IdealEnergyTable(values=values, base=base, total=total_energy)
 
 
@@ -351,7 +357,11 @@ def depth_target(pop: Population, v: int, k: int, total_energy: float) -> float:
     net = pop.network
     if net.parent[v] == -1 and net.children[v]:
         raise DomainError("the root has no target energy")
-    return total_energy / (k ** pop.d[v] * (pop.h[v] + 1))
+    denom = k ** pop.d[v] * (pop.h[v] + 1)
+    try:
+        return total_energy / denom
+    except OverflowError:  # denom is past the float range: exact, rounded once
+        return float(Fraction(total_energy) / denom)
 
 
 def _is_root(net: TreeNetwork, x: int) -> bool:

@@ -154,7 +154,7 @@ class ExperimentConfig:
     def from_json(path: "str | Path") -> "ExperimentConfig":
         try:
             data = json.loads(Path(path).read_text())
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:  # bad JSON, encoding or digit count
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError("config file must hold a JSON object")

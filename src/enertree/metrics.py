@@ -8,6 +8,10 @@ doubling condition holds on every edge.
 
 Energy distance is half the L1 gap between an energy vector and the ideal
 doubling shares: the total misplaced energy.
+
+A redistribution phase ends only at a ``ConvergenceDetector`` verdict; its
+metric samples are held as ``MetricRun``s and written by
+``write_metrics_csv``.
 """
 
 from __future__ import annotations
@@ -106,14 +110,6 @@ def line_potential(network: TreeNetwork, energy: EnergyState, lam: float) -> flo
     return total
 
 
-@dataclass(frozen=True)
-class MetricSample:
-    step: int
-    dd: float
-    total_energy: float
-    lost: float
-
-
 class MetricRun(NamedTuple):
     """The samples at ``steps`` (a cadence range), which all hold the same
     distribution distance, total energy and loss."""
@@ -157,7 +153,10 @@ class ConvergenceDetector:
     detectable energy; tau is the step of the last detectable move (0 if
     none ever happened). A move counts as detectable when its magnitude
     exceeds ``dd_tol``, so both detectors resolve energy at the same
-    absolute scale.
+    absolute scale. Either way the verdict falls at ``horizon`` at the
+    latest, unconverged with tau the horizon. ``due`` is the first step at
+    which a verdict falls if nothing moves: the horizon, or for quiescence
+    the end of the window after the last move if that comes first.
     """
 
     def __init__(self, kind: str, window: int, dd_tol: float, horizon: int):
@@ -173,14 +172,13 @@ class ConvergenceDetector:
         self.tau = 0
         self.converged = False
         self.last_move = 0
-        self.last_dd = math.inf
+        self.due = horizon if kind == DD_ZERO else min(horizon, window)
         self._tau_dd = math.nan
 
     def observe(self, step: int, dd: float, moved: float) -> bool:
         """Feed one step; returns True once the verdict is in."""
         if self.decided:
             return True
-        self.last_dd = dd
         if self.kind == DD_ZERO:
             if dd <= self.dd_tol:
                 self.decided = True
@@ -191,6 +189,7 @@ class ConvergenceDetector:
         else:
             if moved and abs(moved) > self.dd_tol:
                 self.last_move = step
+                self.due = min(self.horizon, step + self.window)
             elif step - self.last_move >= self.window:
                 self.decided = True
                 self.converged = True
@@ -215,8 +214,5 @@ class ConvergenceDetector:
         self._tau_dd = dd
 
     def report(self) -> ConvergenceReport:
-        if not self.decided:
-            # stream ended early: treat like a budget exhaustion at the last
-            # observed step
-            return ConvergenceReport(tau=self.horizon, dd_at_tau=self.last_dd, converged=False)
+        """The verdict; read it once ``decided``."""
         return ConvergenceReport(tau=self.tau, dd_at_tau=self._tau_dd, converged=self.converged)

@@ -25,16 +25,19 @@ position that the step path leaves, so every output is unchanged; a trace
 records it as the step path would (``_idle_rules``).
 
 A ``_Tally`` keeps the books of the redistribution phase at each stop: the
-distribution distance, the metric samples and the convergence detector's
-feed. The samples are held as runs (``MetricRun``): the cadence steps a
-stop or a jump passes over all hold one state, so they make one run, and
-``SimOutcome.samples`` expands the runs. A cadence step after a move
-decides nothing, so a skip passes over it and the next stop resyncs the
-distance for it and writes its samples; only a dd-zero run whose distance
-is within ``dd_drift`` of its tolerance stops there, since that resync
-could bring the verdict. A replay masks only the formation and estimation
-rules, and its scheduler also stops at each recorded move. Validation and
-concurrent mode before stabilization keep the step path.
+distribution distance, the metric samples and the convergence detector,
+whose verdict alone ends the phase (at the budget, unconverged, when
+nothing else decides first). A dd-zero detector is fed an infinite
+distance until the tree is complete, so no partial tree's distance declares
+convergence. The samples are held as runs (``MetricRun``): the cadence
+steps a stop or a jump passes over all hold one state, so they make one
+run. A cadence step after a move decides nothing, so a skip passes over it
+and the next stop resyncs the distance for it and writes its samples; only
+a dd-zero run whose distance is within ``dd_drift`` of its tolerance stops
+there, since that resync could bring the verdict. A replay masks only the
+formation and estimation rules, and its scheduler also stops at each
+recorded move. Validation and concurrent mode before stabilization keep
+the step path.
 """
 
 from __future__ import annotations
@@ -71,7 +74,6 @@ from .metrics import (
     ConvergenceDetector,
     ConvergenceReport,
     MetricRun,
-    MetricSample,
     distribution_distance,
     incident_distance,
 )
@@ -157,12 +159,6 @@ class SimOutcome:
     def digest(self) -> str:
         return snapshot_digest(self.pop)
 
-    @property
-    def samples(self) -> list[MetricSample]:
-        """The metric samples, one per step of each run, in step order."""
-        return [MetricSample(c, r.dd, r.total_energy, r.lost)
-                for r in self.metric_runs for c in r.steps]
-
 
 def _idle_rules(pairs: list[tuple[int, int]], start: int, parent: list[int], kary: bool):
     """The rule the step path records at each idle pair from ``start`` on:
@@ -204,8 +200,9 @@ class _Tally:
     on after a move (``dirty``), before a dd-zero verdict and at the end; the
     metric samples, as ``runs``: each ``_sample`` call appends one
     ``MetricRun`` for the cadence steps it covers, all of one state; the
-    detector's feed; the ideal shares of the complete tree; and ``until``,
-    the first later step that decides something."""
+    convergence detector, fed at every stop; the ideal shares of the
+    complete tree; and ``until``, the first later step that decides
+    something."""
 
     __slots__ = (
         "pop", "net", "energy", "driver", "detector", "basis_total", "t0", "cadence",
@@ -213,10 +210,13 @@ class _Tally:
         "until", "margin",
     )
 
-    def __init__(self, pop: Population, driver, detector: ConvergenceDetector,
-                 basis_total: float, complete: bool, t0: int, cadence: int, record: bool):
+    def __init__(self, pop: Population, driver, protocol: EnergyProtocol, window: int,
+                 budget: int, basis_total: float, complete: bool, t0: int, cadence: int,
+                 record: bool):
         self.pop, self.net, self.energy = pop, pop.network, pop.energy
-        self.driver, self.detector, self.basis_total = driver, detector, basis_total
+        self.driver, self.basis_total = driver, basis_total
+        self.detector = detector = ConvergenceDetector(
+            protocol.convergence, window, DD_TOL_FRACTION * basis_total, budget)
         self.t0, self.cadence, self.record = t0, cadence, record
         self.last = t0  # the last step run in full, or passed over by a jump
         self.dd_zero = detector.kind == DD_ZERO
@@ -234,7 +234,8 @@ class _Tally:
 
     def completed(self) -> None:
         """The tree is complete and stays so: dd sums over its edge list, the
-        protocol reads its ideal shares, and a dd-zero detector is fed."""
+        protocol reads its ideal shares, and a dd-zero detector is fed
+        the distance."""
         self.edges = list(self.net.edges())
         self.ideal = compute_ideal_energies(self.net, self.basis_total)
         if isinstance(self.driver, LiveEnergyDriver):
@@ -285,20 +286,21 @@ class _Tally:
             if self.dd_zero and self.dd <= detector.dd_tol:
                 self.resync()  # confirm before declaring
             detector.observe(s, self.dd, moved)
+        else:  # a dd-zero run on a partial tree: only the horizon decides
+            detector.observe(s, math.inf, moved)
         if s % cadence == 0:
             if self.dirty:
                 self.resync()  # resync any float drift
             if self.record:
                 self._sample(s, s)
-        until = t0 + detector.horizon  # the budget end, or an earlier step that decides
-        if not self.dd_zero:
-            until = min(until, t0 + detector.last_move + detector.window)
-        elif self.dd <= detector.dd_tol:
-            until = t + 1  # a cadence resync brought dd within tolerance: declare it next
-        elif self.dirty and self.dd <= self.margin:
-            # The resync at the next cadence step might: stop there. Any
-            # other dirty cadence step is resynced by the next stop.
-            until = min(until, t - s % cadence + cadence)
+        until = t0 + detector.due  # the verdict if nothing moves, or an earlier step that decides
+        if self.dd_zero:
+            if self.dd <= detector.dd_tol:
+                until = t + 1  # a cadence resync brought dd within tolerance: declare it next
+            elif self.dirty and self.dd <= self.margin:
+                # The resync at the next cadence step might: stop there. Any
+                # other dirty cadence step is resynced by the next stop.
+                until = min(until, t - s % cadence + cadence)
         self.until = until
         return moved, beta
 
@@ -380,8 +382,6 @@ def simulate(
             # No generator at n=1 (no scheduler): the protocol draws nothing
             rng = getattr(scheduler, "rng", None)
             driver = LiveEnergyDriver(energy_protocol, loss, rng, basis_total)
-        dd_tol = DD_TOL_FRACTION * basis_total
-        detector = ConvergenceDetector(energy_protocol.convergence, window, dd_tol, energy_budget)
     # Live runs and replays skip (see the module docstring).
     skipping = not validate and scheduler is not None
     jumps = not replaying and trace is None
@@ -409,16 +409,14 @@ def simulate(
     moved, beta = 0.0, None
     mask = active_pairs() if in_phase_a else None
     while True:
-        if tally is not None:
-            if detector.decided or t >= end:
-                break
-        elif t >= end or stabilized:
+        if tally is not None and tally.detector.decided:
+            break
+        if tally is None and (t >= end or stabilized):
             # Phase A is over, or never ran: the energy protocol joins now.
             if driver is None or (phase_mode == TWOPHASE and not complete):
                 break
-            tally = _Tally(pop, driver, detector, basis_total, complete, t, metric_cadence,
-                           record_metrics)
-            end = t + energy_budget
+            tally = _Tally(pop, driver, energy_protocol, window, energy_budget, basis_total,
+                           complete, t, metric_cadence, record_metrics)
             mask = active_pairs()
             continue
 
@@ -496,7 +494,7 @@ def simulate(
         skipped_steps=skipped,
     )
     if tally is not None:
-        outcome.report = detector.report()
+        outcome.report = tally.detector.report()
         outcome.metric_runs = tally.end(t)
         outcome.ideal = tally.ideal
         outcome.basis_total = basis_total

@@ -49,6 +49,12 @@ def records(trace):
     ]
 
 
+def samples(outcome):
+    """The metric samples of a ``SimOutcome`` as ``(step, dd, total_energy,
+    lost)``, one per step of each ``MetricRun``, in step order."""
+    return [(step, *run[1:]) for run in outcome.metric_runs for step in run.steps]
+
+
 def pair_mask(n, pairs):
     """A ``skip`` mask over n nodes that stops at the given oriented pairs."""
     rows = [bytearray(n - 1) for _ in range(n)]

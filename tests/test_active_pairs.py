@@ -42,7 +42,7 @@ from enertree.harness import ExperimentConfig, replay_trace, run_single
 from enertree.runner import LiveEnergyDriver, simulate
 from enertree.scheduler import InteractionTrace, RandomScheduler, ScriptedScheduler, make_rng
 
-from conftest import Draws, records
+from conftest import Draws, records, samples
 from test_skipping import _stable_binary_tree
 
 PROTOCOLS = ["ideal", "lambda:2", "rand", "kappa:0.5", "kdepth:2"]
@@ -81,7 +81,7 @@ def test_skipping_engine_matches_step_path(config):
     assert step.outcome.skipped_steps == 0
     for run in (fast, traced):
         assert repr(run.row()) == repr(step.row())
-        assert repr(run.outcome.samples) == repr(step.outcome.samples)
+        assert repr(samples(run.outcome)) == repr(samples(step.outcome))
         assert repr(run.outcome.report) == repr(step.outcome.report)
         assert run.outcome.total_steps == step.outcome.total_steps
         assert run.outcome.digest == step.outcome.digest
@@ -193,7 +193,7 @@ def _simulate(lines, k, seed, traced, validate, formation, **kwargs):
         )
     except InvariantError as exc:
         return (repr(exc), scheduler.rng.getstate(), snapshot_digest(pop)), trace, False
-    report = (outcome.report, outcome.samples, outcome.formation_steps, outcome.estimation_steps)
+    report = (outcome.report, samples(outcome), outcome.formation_steps, outcome.estimation_steps)
     return (repr(report), outcome.total_steps, outcome.digest), trace, True
 
 

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +31,7 @@ from conftest import (
     DEMO_TOTAL,
     Draws,
     build_tree,
+    line_pop,
     star_pop,
 )
 
@@ -53,6 +55,21 @@ def test_ideal_table_star():
     table = compute_ideal_energies(pop.network, 100.0)
     assert table.values[0] == pytest.approx(25.0)
     assert all(v == pytest.approx(12.5) for v in table.values[1:])
+
+
+@pytest.mark.parametrize("n", [1023, 1024, 1100])
+def test_ideal_table_past_the_float_range(n):
+    # 2^(n-1), a line's top share over its leaf's, passes the largest
+    # float from n = 1024 on: the shares are then exact, rounded once.
+    table = compute_ideal_energies(line_pop([1.0] * n).network, 1000.0 * n)
+    assert all(math.isfinite(x) and x >= 0.0 for x in table.values)
+    assert math.fsum(table.values) == pytest.approx(1000.0 * n, rel=1e-12)
+    if n < 1024:  # the float path, as it always was
+        assert table.values == tuple(2 ** (n - 1 - d) * table.base for d in range(n))
+    else:
+        exact = Fraction(1000 * n, 2**n - 1)
+        assert table.base == float(exact)
+        assert table.values == tuple(float(exact * 2 ** (n - 1 - d)) for d in range(n))
 
 
 def test_ideal_table_requires_complete_network():
@@ -229,6 +246,15 @@ def test_depth_target_values(demo_pop):
     assert depth_target(pop, 4, 2, DEMO_TOTAL) == pytest.approx(262.5)
     assert depth_target(pop, 1, 2, DEMO_TOTAL) == pytest.approx(131.25)
     assert depth_target(pop, 2, 2, DEMO_TOTAL) == pytest.approx(65.625)
+
+
+def test_depth_target_past_the_float_range():
+    pop = _stabilized_demo()
+    k = 10**160  # k^2 is past the largest float
+    assert depth_target(pop, 0, k, DEMO_TOTAL) == DEMO_TOTAL / (k * 4)  # the float path
+    z = depth_target(pop, 1, k, DEMO_TOTAL)
+    assert z == float(Fraction(DEMO_TOTAL) / (k**2 * 4)) and 0.0 < z < 1e-300
+    assert depth_target(pop, 2, k, DEMO_TOTAL) == 0.0  # exact, rounded once: below any float
 
 
 def test_depth_target_root_has_none():

@@ -26,7 +26,7 @@ from enertree.metrics import distribution_distance
 from enertree.runner import default_budget, default_window, simulate
 from enertree.scheduler import make_rng, read_trace, write_trace
 
-from conftest import DEMO_EDGES, DEMO_ENERGIES, build_tree
+from conftest import DEMO_EDGES, DEMO_ENERGIES, build_tree, samples
 
 
 # ------------------------------------------------------------- configuration
@@ -156,6 +156,18 @@ def test_cli_experiment_rejects_a_config_that_is_not_an_object(tmp_path, capsys,
     assert cli_main(["experiment", "--config", str(cfg), "--quiet"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+
+@pytest.mark.parametrize("command", ["experiment", "sweep"])
+def test_cli_rejects_an_integer_past_the_digit_limit(tmp_path, capsys, command):
+    # json.loads raises ValueError for an integer literal past CPython's
+    # 4,300-digit limit for str-to-int conversion
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"master_seed": ' + "9" * 5000 + "}")
+    extra = ["--grid", "n=4", "--out", str(tmp_path / "sweep")] if command == "sweep" else []
+    assert cli_main([command, "--config", str(cfg), *extra, "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read config") and err.count("\n") == 1
 
 
 def test_config_json_roundtrip(tmp_path):
@@ -371,6 +383,35 @@ def test_replay_detects_tampering(tmp_path):
 
 
 # ------------------------------------------------------------------------ CLI
+@pytest.mark.parametrize("protocol", ["lambda:2", "rand", "kappa:0.5", "ideal", "kdepth:2"])
+def test_cli_redistribute_on_a_line_past_the_float_range(tmp_path, protocol):
+    # 1,100 nodes: 2^1099 (the top ideal share over the leaf's, and k^d of
+    # the deepest depth target at k = 2) is past the largest float
+    snap = tmp_path / "line.txt"
+    snap.write_text("".join(f"{i} {'R1' if i == 0 else 'I1' if i < 1099 else 'L'} {i - 1} "
+                            f"{i} 0 0 1000.0\n" for i in range(1100)))
+    out = tmp_path / "red"
+    assert cli_main(["redistribute", "--snapshot", str(snap), "--energy-protocol", protocol,
+                     "--budget", "3000", "--out", str(out), "--quiet"]) == 0
+    with open(out / "metrics.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert rows[-1][0] == "3000"
+    assert all(math.isfinite(float(x)) and float(x) >= 0.0 for row in rows for x in row[1:])
+
+
+def test_cli_experiment_with_a_depth_target_past_the_float_range(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 6, "energy_protocol": "kdepth:1" + "0" * 160,
+                               "repetitions": 1}))
+    assert cli_main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                     "--quiet"]) == 0
+    with open(tmp_path / "out" / "runs.csv", newline="") as fh:
+        row = next(csv.DictReader(fh))
+    assert row["converged"] == "1"
+    assert all(math.isfinite(float(row[k])) and float(row[k]) >= 0.0
+               for k in ("tau", "ed", "ed_percent", "loss_percent"))
+
+
 def test_cli_form_and_redistribute(tmp_path, capsys):
     snap = tmp_path / "snapshot.txt"
     rc = cli_main(
@@ -612,10 +653,10 @@ def test_no_metric_samples_with_recording_off():
     # the redistribution's first stop samples step 0 only when it records
     config = ExperimentConfig(n=6, energy_protocol="lambda:2", loss="normal:0.2,0.05")
     live = run_single(config, 0, record_trace=True)
-    assert live.outcome.samples == []
-    assert replay_trace(live.outcome.trace).samples == []
+    assert samples(live.outcome) == []
+    assert samples(replay_trace(live.outcome.trace)) == []
     recorded = run_single(config, 0, record_metrics=True)
-    assert recorded.outcome.samples[0].step == 0
+    assert samples(recorded.outcome)[0][0] == 0
 
 
 def test_dd_zero_verdict_after_a_cadence_resync_matches_step_path(monkeypatch):
@@ -646,7 +687,7 @@ def test_dd_zero_verdict_after_a_cadence_resync_matches_step_path(monkeypatch):
     assert step.report.converged and step.report.tau < default_budget(6)
     assert skipping.report == step.report
     assert skipping.total_steps == step.total_steps
-    assert skipping.samples == step.samples
+    assert samples(skipping) == samples(step)
 
 
 def test_budget_exhaustion_reports_unconverged_row():

@@ -15,6 +15,8 @@ from enertree.core import (
     check_distribution,
 )
 from enertree.energy import (
+    DD_ZERO,
+    QUIESCENCE,
     IdealEnergyTable,
     KappaTransfer,
     LambdaExchange,
@@ -27,8 +29,8 @@ from enertree.harness import ExperimentConfig, run_single
 from enertree.metrics import (
     METRICS_HEADER,
     ConvergenceDetector,
+    ConvergenceReport,
     MetricRun,
-    MetricSample,
     distribution_distance,
     energy_distance,
     incident_distance,
@@ -44,6 +46,7 @@ from conftest import (
     Draws,
     build_tree,
     line_pop,
+    samples,
     star_pop,
 )
 
@@ -311,6 +314,63 @@ def test_quiescence_with_no_moves_at_all():
     assert report.converged and report.tau == 0
 
 
+def test_dd_zero_due_is_the_horizon():
+    detector = ConvergenceDetector(DD_ZERO, window=5, dd_tol=0.5, horizon=50)
+    assert detector.due == 50
+    for step in range(20):
+        assert not detector.observe(step, 1.0, 1.0 if step % 2 else 0.0)
+        assert detector.due == 50
+
+
+def test_quiescence_due_follows_each_detectable_move():
+    detector = ConvergenceDetector(QUIESCENCE, window=10, dd_tol=0.5, horizon=100)
+    assert detector.due == 10
+    dues = []
+    for step, moved in [(3, 1.0), (4, 0.25), (8, -2.0)]:
+        assert not detector.observe(step, 1.0, moved)
+        dues.append(detector.due)
+    assert dues == [13, 13, 18]  # a move within dd_tol (0.25) is not detectable
+    assert not detector.observe(17, 1.0, 0.0)
+    assert detector.observe(18, 1.0, 0.0)  # nothing moved: the verdict falls at due
+    assert (detector.tau, detector.converged) == (8, True)
+
+
+def test_quiescence_due_never_passes_the_horizon():
+    detector = ConvergenceDetector(QUIESCENCE, window=10, dd_tol=0.5, horizon=30)
+    dues = []
+    for step in (15, 25, 29):
+        assert not detector.observe(step, 1.0, 1.0)
+        dues.append(detector.due)
+    assert dues == [25, 30, 30]
+    assert detector.observe(30, 1.0, 0.0)
+    assert (detector.tau, detector.converged) == (30, False)
+    assert ConvergenceDetector(QUIESCENCE, window=50, dd_tol=0.0, horizon=30).due == 30
+
+
+@pytest.mark.parametrize("spec, dd_at_tau", [
+    ("lambda:2", math.inf), ("rand", math.inf), ("kappa:0.5", math.inf),
+    ("ideal", 27000.0), ("kdepth:2", 48000.0),
+])
+def test_a_tree_that_never_completes_ends_at_a_detector_verdict(monkeypatch, spec, dd_at_tau):
+    # A concurrent run whose tree cannot form within its budget. No partial
+    # tree's distance declares a dd-zero run converged: the horizon ends it.
+    detectors = []
+
+    class Recorded(ConvergenceDetector):
+        def __init__(self, *args):
+            super().__init__(*args)
+            detectors.append(self)
+
+    monkeypatch.setattr(runner, "ConvergenceDetector", Recorded)
+    config = ExperimentConfig(n=30, energy_protocol=spec, phase_mode="concurrent",
+                              target_energy_basis="initial", step_budget=60)
+    for validate in (False, True):
+        outcome = run_single(config, 0, validate=validate).outcome
+        assert not outcome.completed and outcome.total_steps == 60
+        assert detectors.pop().decided and not detectors
+        assert outcome.report == ConvergenceReport(tau=60, dd_at_tau=dd_at_tau, converged=False)
+
+
 # ------------------------------------------------------------- loss fraction
 def test_loss_fraction_lossless():
     e = EnergyState([10.0, 10.0])
@@ -324,18 +384,18 @@ def test_loss_fraction_single_transfer():
 
 
 # ---------------------------------------------------------------- metrics.csv
-def _csv_writer_metrics(samples, path):
+def _csv_writer_metrics(rows, path):
     """The metrics.csv writer before samples were held as runs: one
     ``csv.writer`` row per sample. The reference for the bytes."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(METRICS_HEADER)
-        for s in samples:
-            writer.writerow([s.step, repr(s.dd), repr(s.total_energy), repr(s.lost)])
+        for step, dd, total_energy, lost in rows:
+            writer.writerow([step, repr(dd), repr(total_energy), repr(lost)])
 
 
 def _expand(runs):
-    return [MetricSample(c, r.dd, r.total_energy, r.lost) for r in runs for c in r.steps]
+    return [(step, r.dd, r.total_energy, r.lost) for r in runs for step in r.steps]
 
 
 def _both_writers(runs) -> tuple[bytes, bytes]:
@@ -383,14 +443,13 @@ def test_metrics_csv_edge_cases_match_the_csv_writer(runs):
     assert new.count(b"\r\n") == 1 + sum(len(r.steps) for r in runs)
 
 
-def test_samples_expand_the_metric_runs_in_step_order():
+def test_metric_runs_cover_the_cadence_grid_in_step_order():
     config = ExperimentConfig(n=12, energy_protocol="ideal", loss="normal:0.2,0.05",
                               initial_energy="random", metric_cadence=5)
     outcome = run_single(config, 0, record_metrics=True).outcome
-    runs, samples = outcome.metric_runs, outcome.samples
-    assert samples == _expand(runs)
-    steps = [s.step for s in samples]
+    runs = outcome.metric_runs
+    steps = [step for step, *_ in samples(outcome)]
     # one sample per cadence step, plus the last step when it is off the cadence
     grid = list(range(0, steps[-1] + 1, 5))
     assert steps in (grid, grid + steps[-1:]) and len(steps) > 2
-    assert len(runs) < len(samples)  # the quiet tail is one run, not a run per step
+    assert len(runs) < len(steps)  # the quiet tail is one run, not a run per step

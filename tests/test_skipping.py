@@ -21,7 +21,7 @@ from enertree.harness import ExperimentConfig, replay_trace, run_single
 from enertree.runner import DD_TOL_FRACTION, dd_drift, simulate
 from enertree.scheduler import InteractionTrace, RandomScheduler, ScriptedScheduler, make_rng
 
-from conftest import records
+from conftest import records, samples
 
 LOSSY = "normal:0.2,0.05"
 
@@ -36,7 +36,7 @@ def assert_same_as_step_path(config: ExperimentConfig, runs: int = 2) -> list:
         for run in (fast, traced):
             assert run.row() == step.row()
             assert run.outcome.digest == step.outcome.digest
-            assert run.outcome.samples == step.outcome.samples
+            assert samples(run.outcome) == samples(step.outcome)
             assert repr(run.outcome.report) == repr(step.outcome.report)
         assert records(traced.outcome.trace) == records(step.outcome.trace)
         replayed = replay_trace(traced.outcome.trace)
@@ -297,7 +297,7 @@ def test_stale_merge_keys_skip():
     assert fast.skipped_steps > 0 and traced.skipped_steps > 0
     for run in (fast, traced):
         assert run.pop.w == step.pop.w == [0] * 7
-        assert (run.digest, run.samples, run.report) == (step.digest, step.samples, step.report)
+        assert (run.digest, samples(run), run.report) == (step.digest, samples(step), step.report)
     assert records(traced.trace) == records(step.trace)
 
 
@@ -307,7 +307,7 @@ def test_diffused_merge_keys_skip():
     assert fast.skipped_steps > 0 and traced.skipped_steps > 0
     for run in (fast, traced):
         assert run.digest == step.digest
-        assert run.samples == step.samples
+        assert samples(run) == samples(step)
         assert run.report == step.report
     assert records(traced.trace) == records(step.trace)
 
