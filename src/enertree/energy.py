@@ -60,6 +60,16 @@ from .errors import DomainError
 from .estimation import true_depths
 
 BETA_CAP = 0.999
+# The largest exchange ratio (lambda, and rand's upper end) a protocol takes.
+# With u = 2^-53, the float x = (lam*E_c - E_p)/(lam + 1) is at most
+# lam/(lam + 1) * (1 + u)^3 * E_c for E_p >= 0 (one rounding each for the
+# product, the sum lam + 1 and the quotient; the difference is at most
+# lam*E_c, rounded monotonely). x <= E_c, so that the child stays at or above
+# 0, needs lam/(lam + 1) * (1 + u)^3 <= 1: lam + 1 <= about 1/(3u) = 2^53/3.
+# Past that, lam + 1.0 rounds towards lam and x can exceed E_c. 2^50 keeps a
+# factor of 8/3 from it. (Where a result is subnormal, its rounding error is
+# at most half a unit of 2^-1074 instead, and x still rounds to at most E_c.)
+MAX_RATIO = 2.0**50
 DD_ZERO = "dd_zero"  # the values of a protocol's ``convergence``
 QUIESCENCE = "quiescence"
 
@@ -157,10 +167,12 @@ class _EdgeProtocol:
 
 def below_ratio(ep: float, ec: float, ratio: float) -> bool:
     """E_p < ratio * E_c, with slack: the condition of every edge protocol.
-    It is ``strictly_greater(ratio * ec, ep)`` written out, so that the mask
-    tests an edge in one frame."""
+    It is ``strictly_greater(ratio * ec, ep)`` written out for energies
+    E_p, E_c >= 0 (which every move keeps, up to ``MAX_RATIO``), so that
+    the mask tests an edge in one frame: there a = ratio * E_c >= 0, and if
+    E_p > a both sides of the test are false, else max(|a|, |E_p|) is a."""
     a = ratio * ec
-    return a - ep > CONDITION_SLACK * max(abs(a), abs(ep))
+    return a - ep > CONDITION_SLACK * a
 
 
 def _exchange(energy: EnergyState, p: int, c: int, lam: float, draws) -> float:
@@ -181,8 +193,8 @@ class LambdaExchange(_EdgeProtocol):
     tag = "LAMBDA"
 
     def __post_init__(self):
-        if self.lam < 2:
-            raise DomainError("exchange ratio must be >= 2")
+        if not 2 <= self.lam <= MAX_RATIO:
+            raise DomainError(f"exchange ratio must be in [2, 2^50] (got {self.lam!r})")
 
     @property
     def ratio(self) -> float:
@@ -202,8 +214,9 @@ class RandExchange(_EdgeProtocol):
     tag = "RAND"
 
     def __post_init__(self):
-        if not 2 <= self.lo <= self.hi:
-            raise DomainError("exchange ratio interval must satisfy 2 <= lo <= hi")
+        if not 2 <= self.lo <= self.hi <= MAX_RATIO:
+            raise DomainError("exchange ratio interval must satisfy 2 <= lo <= hi <= 2^50 "
+                              f"(got {self.lo!r}, {self.hi!r})")
 
     def edge_step(self, energy: EnergyState, p: int, c: int, draws) -> float:
         return _exchange(energy, p, c, draws.rng.uniform(self.lo, self.hi), draws)

@@ -27,13 +27,13 @@ from .errors import DomainError
 
 
 def distribution_distance(
-    network: TreeNetwork, energy: EnergyState, edges: Optional[Sequence[tuple[int, int]]] = None
+    network: TreeNetwork, e: Sequence[float], edges: Optional[Sequence[tuple[int, int]]] = None
 ) -> float:
-    """Total energy that must be redistributed to reach a relaxed state;
-    valid on partial networks (sums over existing edges only). ``edges``,
-    if given, is ``list(network.edges())`` of a network that no longer
-    changes; the sum runs in that order either way."""
-    e = energy.per_node
+    """Total energy that must be redistributed to reach a relaxed state, for
+    the per-node energies ``e`` (an ``EnergyState.per_node`` or a copy of
+    one); valid on partial networks (sums over existing edges only).
+    ``edges``, if given, is ``list(network.edges())`` of a network that no
+    longer changes; the sum runs in that order either way."""
     total = 0.0
     for p, c in network.edges() if edges is None else edges:
         gap = 2.0 * e[c] - e[p]
@@ -42,10 +42,10 @@ def distribution_distance(
     return total
 
 
-def incident_distance(network: TreeNetwork, energy: EnergyState, u: int, v: int) -> float:
+def incident_distance(network: TreeNetwork, e: Sequence[float], u: int, v: int) -> float:
     """Distribution-distance contribution of the edges touching u or v
-    (each edge counted once). Used for incremental maintenance."""
-    e = energy.per_node
+    (each edge counted once), for the per-node energies ``e``. Used for
+    incremental maintenance."""
     total = 0.0
     parent = network.parent
     pu = parent[u]

@@ -34,10 +34,14 @@ steps a stop or a jump passes over all hold one state, so they make one
 run. A cadence step after a move decides nothing, so a skip passes over it
 and the next stop resyncs the distance for it and writes its samples; only
 a dd-zero run whose distance is within ``dd_drift`` of its tolerance stops
-there, since that resync could bring the verdict. A replay masks only the
-formation and estimation rules, and its scheduler also stops at each
-recorded move. Validation and concurrent mode before stabilization keep
-the step path.
+there, since that resync could bring the verdict. The distance itself is
+kept lazily: a resync keeps a copy of the energies and each move appends to
+a log, and the value is rebuilt from the two, bit for bit, only where
+something reads it; a dd-zero stop needs none while some tree edge's gap
+alone (a witness) puts the distance above every threshold it is compared
+with (see ``_Tally``). A replay masks only the formation and estimation
+rules, and its scheduler also stops at each recorded move. Validation and
+concurrent mode before stabilization keep the step path.
 """
 
 from __future__ import annotations
@@ -195,19 +199,39 @@ def dd_drift(n: int, cadence: int, total: float) -> float:
 
 class _Tally:
     """The books of the redistribution phase, from its first step ``t0``:
-    the distribution distance ``dd``, updated at each move and recomputed in
-    full (a resync) when an edge joins, at the first stop from a cadence step
-    on after a move (``dirty``), before a dd-zero verdict and at the end; the
-    metric samples, as ``runs``: each ``_sample`` call appends one
-    ``MetricRun`` for the cadence steps it covers, all of one state; the
-    convergence detector, fed at every stop; the ideal shares of the
-    complete tree; and ``until``, the first later step that decides
-    something."""
+    the distribution distance, the metric samples, the convergence detector,
+    fed at every stop, the ideal shares of the complete tree, and ``until``,
+    the first later step that decides something.
+
+    The distance is kept lazily, and read bit for bit as eager books would
+    keep it. Eager books resync (sum every edge) when an edge joins, at the
+    first stop from a cadence step on after a move (``dirty``), before a
+    dd-zero verdict and at the end, and update ``dd + (after - before)``
+    with the incident sums around each move, clamped at 0. Here a resync
+    keeps a copy of the energies (``copy``) and each move appends
+    ``(u, v, E_u, E_v)`` to ``log``. ``exact`` rebuilds the running value
+    where something reads it: the full sum of the copy, then each logged
+    move's incident sums before and after it on the copy, in order, with
+    the clamp. It is read at the detector's ``due`` step (the horizon for
+    dd-zero; the verdict can fall nowhere earlier for quiescence), at a
+    dd-zero stop with no witness, at each metric sample, and at the end.
+    Elsewhere the detector is fed ``math.inf``, as on a partial tree.
+
+    A witness is a tree edge whose gap 2*E_c - E_p exceeds ``floor`` =
+    dd_tol + 2 * ``dd_drift``. While one exists a dd-zero stop needs no
+    value: rounding is monotone, so the left-to-right float sum of the
+    non-negative gaps is at least each of them; the running dd is within
+    ``dd_drift`` of that sum, since at most ``cadence`` moves fall after
+    the last resync, deferred or not; so it exceeds ``margin`` = dd_tol +
+    dd_drift, and neither the verdict (dd <= dd_tol) nor the cadence stop
+    (dd <= margin) can fire. The witness is the largest gap found by the
+    last scan of the edges, which runs again only once its gap is at most
+    the floor."""
 
     __slots__ = (
         "pop", "net", "energy", "driver", "detector", "basis_total", "t0", "cadence",
         "record", "dd_zero", "edges", "ideal", "observing", "dd", "dirty", "runs", "last",
-        "until", "margin",
+        "until", "margin", "floor", "copy", "summed", "log", "witness",
     )
 
     def __init__(self, pop: Population, driver, protocol: EnergyProtocol, window: int,
@@ -220,17 +244,22 @@ class _Tally:
         self.t0, self.cadence, self.record = t0, cadence, record
         self.last = t0  # the last step run in full, or passed over by a jump
         self.dd_zero = detector.kind == DD_ZERO
-        # Above this a resync cannot bring dd within tolerance.
-        self.margin = detector.dd_tol + dd_drift(self.net.n, cadence, basis_total)
-        self.edges = self.ideal = None
+        # Above margin a resync cannot bring dd within tolerance; a gap above
+        # floor puts the running dd above margin (see the class docstring).
+        drift = dd_drift(self.net.n, cadence, basis_total)
+        self.margin = detector.dd_tol + drift
+        self.floor = detector.dd_tol + 2.0 * drift
+        self.edges = self.ideal = self.witness = None
         self.observing = not self.dd_zero
         if complete:
             self.completed()
         self.runs: list[MetricRun] = []
+        self.log: list[tuple[int, int, float, float]] = []
+        self.dd = 0.0  # the running dd at ``copy``, once ``summed``
         self.resync()
         self.stop(t0)
         if self.net.n == 1:  # a single node: nothing can ever move
-            detector.force_converged(0, self.dd)
+            detector.force_converged(0, self.exact())
 
     def completed(self) -> None:
         """The tree is complete and stays so: dd sums over its edge list, the
@@ -243,15 +272,48 @@ class _Tally:
         self.observing = True
 
     def resync(self) -> None:
-        self.dd = distribution_distance(self.net, self.energy, self.edges)
+        # The running dd restarts from the full sum of this state, taken
+        # when it is read.
+        self.copy = self.energy.per_node[:]
+        self.summed = False
+        self.log.clear()
         self.dirty = False
+
+    def exact(self) -> float:
+        """The running dd, rebuilt from the copy and the log."""
+        copy = self.copy
+        if not self.summed:
+            self.dd = distribution_distance(self.net, copy, self.edges)
+            self.summed = True
+        if self.log:
+            net, dd = self.net, self.dd
+            for u, v, eu, ev in self.log:
+                pre = incident_distance(net, copy, u, v)
+                copy[u], copy[v] = eu, ev
+                dd += incident_distance(net, copy, u, v) - pre
+                if dd < 0.0:
+                    dd = 0.0
+            self.dd = dd
+            self.log.clear()
+        return self.dd
+
+    def _witnessed(self) -> bool:
+        e, floor, w = self.energy.per_node, self.floor, self.witness
+        if w is not None and 2.0 * e[w[1]] - e[w[0]] > floor:
+            return True
+        best, self.witness = floor, None
+        for p, c in self.edges:
+            gap = 2.0 * e[c] - e[p]
+            if gap > best:
+                best, self.witness = gap, (p, c)
+        return self.witness is not None
 
     def _sample(self, first: int, last: int) -> None:
         # One run of samples at the cadence steps from ``first`` to ``last``
         # (from t0), all of the current dd, total and loss.
         e = self.energy
         steps = range(first, last + 1, self.cadence)
-        self.runs.append(MetricRun(steps, self.dd, e.total(), e.lost))
+        self.runs.append(MetricRun(steps, self.exact(), e.total(), e.lost))
 
     def stop(self, t: int, u: Optional[int] = None, v: Optional[int] = None,
              joined: bool = False) -> tuple[float, Optional[float]]:
@@ -275,17 +337,19 @@ class _Tally:
         if u is not None:
             if joined:
                 self.resync()
-            net, e = self.net, self.energy
-            pre = incident_distance(net, e, u, v)
             moved, beta = self.driver.move(self.pop, u, v)
             if moved:
-                dd = self.dd + (incident_distance(net, e, u, v) - pre)
-                self.dd = 0.0 if dd < 0.0 else dd
+                e = self.energy.per_node
+                self.log.append((u, v, e[u], e[v]))
                 self.dirty = True
+        read = False
         if self.observing:
-            if self.dd_zero and self.dd <= detector.dd_tol:
+            read = s >= detector.due or (self.dd_zero and not self._witnessed())
+            dd = self.exact() if read else math.inf
+            if self.dd_zero and dd <= detector.dd_tol:
                 self.resync()  # confirm before declaring
-            detector.observe(s, self.dd, moved)
+                dd = self.exact()
+            detector.observe(s, dd, moved)
         else:  # a dd-zero run on a partial tree: only the horizon decides
             detector.observe(s, math.inf, moved)
         if s % cadence == 0:
@@ -294,10 +358,11 @@ class _Tally:
             if self.record:
                 self._sample(s, s)
         until = t0 + detector.due  # the verdict if nothing moves, or an earlier step that decides
-        if self.dd_zero:
-            if self.dd <= detector.dd_tol:
+        if self.dd_zero and read:
+            dd = self.exact()
+            if dd <= detector.dd_tol:
                 until = t + 1  # a cadence resync brought dd within tolerance: declare it next
-            elif self.dirty and self.dd <= self.margin:
+            elif self.dirty and dd <= self.margin:
                 # The resync at the next cadence step might: stop there. Any
                 # other dirty cadence step is resynced by the next stop.
                 until = min(until, t - s % cadence + cadence)

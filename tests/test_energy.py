@@ -5,8 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from enertree.core import CONDITION_SLACK, EnergyState, Population, TreeNetwork, strictly_greater
+from enertree.core import (
+    CONDITION_SLACK,
+    MAX_ENERGY,
+    EnergyState,
+    Population,
+    TreeNetwork,
+    strictly_greater,
+)
 from enertree.energy import (
+    BETA_CAP,
+    MAX_RATIO,
     DepthTarget,
     IdealEnergyTable,
     IdealTarget,
@@ -21,6 +30,7 @@ from enertree.energy import (
     sample_beta,
 )
 from enertree.errors import DomainError
+from enertree.harness import ExperimentConfig, run_single
 from enertree.estimation import true_depths
 from enertree.formation import FormationProtocol, apply_formation_rule
 from enertree.scheduler import make_rng, sample_pair
@@ -454,3 +464,61 @@ def test_below_ratio_is_the_slack_test_written_out(ep, ec, ratio):
 @given(st.floats(0.0, 1e300), st.floats(0.0, 1e300), st.sampled_from(RATIOS))
 def test_below_ratio_agrees_with_strictly_greater_on_any_energies(ep, ec, ratio):
     assert below_ratio(ep, ec, ratio) is strictly_greater(ratio * ec, ep)
+
+
+# ------------------------------------------------- the ratio bound, no negative
+@pytest.mark.parametrize("spec", ["lambda:1e17", "lambda:1125899906842625", "rand:2,1e17",
+                                  "rand:1e16,1e17"])
+def test_a_ratio_above_the_bound_is_refused(spec):
+    with pytest.raises(DomainError, match="2\\^50"):
+        parse_energy_protocol(spec)
+
+
+def test_a_ratio_at_the_bound_is_accepted_and_keeps_every_energy_non_negative():
+    assert MAX_RATIO == 2.0**50 == 1125899906842624
+    assert parse_energy_protocol("lambda:1125899906842624") == LambdaExchange(MAX_RATIO)
+    assert parse_energy_protocol("rand:2,1125899906842624") == RandExchange(2.0, MAX_RATIO)
+    for spec in ["lambda:1125899906842624", "rand:2,1125899906842624"]:
+        config = ExperimentConfig(n=8, protocol="kary:2", energy_protocol=spec,
+                                  initial_energy="random", repetitions=5, master_seed=1)
+        for i in range(5):
+            run_single(config, i, validate=True)  # raises on a negative energy
+
+
+ENERGIES = st.sampled_from([0.0, 5e-324, 1.0, 1e300]) | st.floats(0.0, MAX_ENERGY)
+BETAS = st.sampled_from([0.0, BETA_CAP]) | st.floats(0.0, BETA_CAP)
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(ENERGIES, ENERGIES, st.sampled_from([2.0, MAX_RATIO]) | st.floats(2.0, MAX_RATIO),
+       st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), BETAS, st.integers(0, 2**32))
+def test_an_edge_move_leaves_both_energies_non_negative(ep, ec, ratio, kappa, beta, seed):
+    # below_ratio drops the abs of E_p on the strength of this.
+    for protocol, draws in [
+        (LambdaExchange(ratio), Draws(beta)),
+        (LambdaExchange(MAX_RATIO), Draws(beta)),
+        (RandExchange(2.0, MAX_RATIO), Draws(beta, rng=make_rng(seed))),
+        (RandExchange(ratio, MAX_RATIO), Draws(beta, rng=make_rng(seed))),
+        (KappaTransfer(kappa), Draws(beta)),
+    ]:
+        e = EnergyState([ep, ec])
+        protocol.edge_step(e, 0, 1, draws)
+        assert min(e.per_node) >= 0.0, protocol
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.lists(ENERGIES, min_size=3, max_size=3), st.lists(ENERGIES, min_size=3, max_size=3),
+       st.lists(st.integers(0, 40), min_size=6, max_size=6), st.floats(1e-300, MAX_ENERGY),
+       st.integers(2, 5), BETAS)
+def test_a_targeted_move_leaves_every_energy_non_negative(energies, targets, registers, total,
+                                                          k, beta):
+    # A line 0 - 1 - 2 rooted at 0: every ordered pair, for ideal (against
+    # any targets) and for kdepth (from any depth and height registers).
+    ideal = IdealEnergyTable(values=tuple(targets), base=1.0, total=total)
+    for protocol, draws in [(IdealTarget(), Draws(beta, table=ideal)),
+                            (DepthTarget(k), Draws(beta, total_energy=total))]:
+        for u, v in [(0, 1), (1, 0), (1, 2), (2, 1), (0, 2), (2, 0)]:
+            pop = line_pop(energies)
+            pop.d[:], pop.h[:] = registers[:3], registers[3:]
+            protocol.step(pop, u, v, draws)
+            assert min(pop.energy.per_node) >= 0.0, (protocol, u, v)

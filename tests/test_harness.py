@@ -103,6 +103,21 @@ def test_cli_experiment_rejects_bad_numbers(tmp_path, capsys, setting):
     assert next(iter(setting)) in err
 
 
+@pytest.mark.parametrize("spec", ["lambda:1e17", "rand:2,1e17"])
+def test_cli_experiment_rejects_an_exchange_ratio_past_the_bound(tmp_path, capsys, spec):
+    # Past 2^50, lam + 1.0 rounds towards lam and an exchange can take more
+    # than the child holds: with lambda:1e17 this config once ended run 4
+    # with a node at -2.2737367544323206e-13 and exited 0.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 8, "protocol": "kary:2", "energy_protocol": spec,
+                               "initial_energy": "random", "repetitions": 5, "master_seed": 1}))
+    out = tmp_path / "out"
+    assert cli_main(["experiment", "--config", str(cfg), "--out", str(out), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "2^50" in err
+    assert not out.exists()
+
+
 def _set(rows, i, column, value):
     """The snapshot rows with one field replaced."""
     rows = [list(row) for row in rows]
@@ -251,7 +266,7 @@ def test_concurrent_mode_exchange_waits_for_completion():
     assert result.converged
     assert result.tau >= out.formation_steps
     total = out.pop.energy.total()
-    assert distribution_distance(out.pop.network, out.pop.energy) <= 1e-9 * total
+    assert distribution_distance(out.pop.network, out.pop.energy.per_node) <= 1e-9 * total
 
 
 # ---------------------------------------------------------------- experiment
@@ -432,7 +447,7 @@ def test_cli_form_and_redistribute(tmp_path, capsys):
     final = load_snapshot((out / "final_snapshot.txt").read_text().splitlines())
     # converged means the distribution distance fell below 1e-9 of the total
     total = final.energy.total()
-    assert distribution_distance(final.network, final.energy) <= 1e-9 * total
+    assert distribution_distance(final.network, final.energy.per_node) <= 1e-9 * total
 
 
 def test_cli_experiment_deterministic_output(tmp_path):

@@ -54,14 +54,14 @@ from conftest import (
 # ------------------------------------------------------ distribution distance
 def test_dd_zero_on_exact_and_relaxed():
     pop = star_pop()
-    assert distribution_distance(pop.network, pop.energy) == 0.0
+    assert distribution_distance(pop.network, pop.energy.per_node) == 0.0
     pop2 = line_pop([100.0, 10.0, 1.0])
-    assert distribution_distance(pop2.network, pop2.energy) == 0.0
+    assert distribution_distance(pop2.network, pop2.energy.per_node) == 0.0
 
 
 def test_dd_single_edge():
     pop = line_pop([500.0, 400.0])
-    assert distribution_distance(pop.network, pop.energy) == pytest.approx(300.0)
+    assert distribution_distance(pop.network, pop.energy.per_node) == pytest.approx(300.0)
 
 
 def test_dd_demo_tree_brute_force():
@@ -72,14 +72,14 @@ def test_dd_demo_tree_brute_force():
         max(0.0, 2 * e[c] - e[p]) for p, c in DEMO_EDGES
     )
     assert expected == pytest.approx(1150.0)  # 400 + 100 + 0 + 450 + 200
-    assert distribution_distance(pop.network, pop.energy) == pytest.approx(expected)
+    assert distribution_distance(pop.network, pop.energy.per_node) == pytest.approx(expected)
 
 
 def test_dd_valid_on_partial_networks():
     net = TreeNetwork(4)
     net.add_edge(0, 1)
     energy = EnergyState([1.0, 5.0, 3.0, 3.0])
-    assert distribution_distance(net, energy) == pytest.approx(9.0)
+    assert distribution_distance(net, energy.per_node) == pytest.approx(9.0)
 
 
 def test_dd_zero_iff_relaxed_on_random_states():
@@ -98,7 +98,7 @@ def test_dd_zero_iff_relaxed_on_random_states():
             for p, c in net.edges():
                 energies[c] = energies[p] / rng.uniform(2.0, 3.0)
         energy = EnergyState(energies)
-        dd = distribution_distance(net, energy)
+        dd = distribution_distance(net, energy.per_node)
         relaxed = check_distribution(net, energy, DistributionKind.RELAXED, tol=0.0)
         assert (dd == 0.0) == relaxed
 
@@ -139,8 +139,8 @@ def forests(draw):
 def test_distribution_distance_is_the_nested_loop_sum_bit_for_bit(forest):
     net, energy = forest
     expected = repr(_nested_loop_dd(net, energy))
-    assert repr(distribution_distance(net, energy)) == expected
-    assert repr(distribution_distance(net, energy, list(net.edges()))) == expected
+    assert repr(distribution_distance(net, energy.per_node)) == expected
+    assert repr(distribution_distance(net, energy.per_node, list(net.edges()))) == expected
 
 
 def test_the_engine_sums_dd_over_the_tree_edges_in_order(monkeypatch):
@@ -167,16 +167,16 @@ def test_the_engine_sums_dd_over_the_tree_edges_in_order(monkeypatch):
 def test_incident_distance_matches_global_delta():
     rng = random.Random(5)
     pop = build_tree(6, DEMO_EDGES, list(DEMO_ENERGIES))
-    net, e = pop.network, pop.energy
+    net, e = pop.network, pop.energy.per_node
     for _ in range(500):
         u, v = sample_pair(make_rng(rng.randrange(1 << 30)), 6)
         before_global = distribution_distance(net, e)
         before_local = incident_distance(net, e, u, v)
         delta = rng.uniform(-50, 50)
-        if e.per_node[u] + delta < 0 or e.per_node[v] - delta < 0:
+        if e[u] + delta < 0 or e[v] - delta < 0:
             continue
-        e.per_node[u] += delta
-        e.per_node[v] -= delta
+        e[u] += delta
+        e[v] -= delta
         after_global = distribution_distance(net, e)
         after_local = incident_distance(net, e, u, v)
         assert after_global - before_global == pytest.approx(
@@ -247,7 +247,7 @@ def test_potential_zero_implies_dd_zero():
         pop = line_pop(energies)
         lam = rng.uniform(2.0, 4.0)
         if line_potential(pop.network, pop.energy, lam) == 0.0:
-            assert distribution_distance(pop.network, pop.energy) == 0.0
+            assert distribution_distance(pop.network, pop.energy.per_node) == 0.0
 
 
 def test_potential_monotone_under_lossless_exchange():
