@@ -60,7 +60,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Optional, Sequence
 
-from .core import Population, strictly_greater
+from .core import CONDITION_SLACK, Population, strictly_greater
 from .energy import below_ratio
 from .formation import KARY, FormationProtocol
 
@@ -152,7 +152,7 @@ class ActivePairs:
             p = parent[c]
             edges = children[p] + children[c]  # every edge at p or c, by child, each once
             if p != self.root:
-                edges.append(p)
+                edges += (p,)
         elif structural and (parent[u] == v or parent[v] == u):
             c = u if parent[u] == v else v
             edges = children[c] + [c]
@@ -167,13 +167,18 @@ class ActivePairs:
             if h[v] != key[v]:
                 self._rekey(v)
         elif edges:  # no edge is bent: test the energy family alone
-            e, ratio, edge_on = self.e, self.ratio, self.edge_on
+            # below_ratio and _pair, written out (one frame per stop)
+            e, ratio, edge_on, rows = self.e, self.ratio, self.edge_on, self.rows
             for c in edges:
                 p = parent[c]
-                on = below_ratio(e[p], e[c], ratio)
+                a = ratio * e[c]
+                on = a - e[p] > CONDITION_SLACK * a
                 if on != edge_on[c]:
                     edge_on[c] = on
-                    self._pair(p, c, 1 if on else -1)
+                    delta = 1 if on else -1
+                    rows[p][c - (c > p)] += delta
+                    rows[c][p - (p > c)] += delta
+                    self.count += 2 * delta
         if moved and self.targets is not None:
             self._side(u)
             self._side(v)

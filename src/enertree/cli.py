@@ -20,7 +20,7 @@ import sys
 import time
 from pathlib import Path
 
-from .energy import LossModel, parse_energy_protocol
+from .energy import LossModel, check_total, parse_energy_protocol
 from .errors import ConfigError, DomainError, ReplayMismatch
 from .formation import load_snapshot, snapshot_digest, snapshot_lines
 from .harness import ExperimentConfig, replay_trace, run_experiment, run_single
@@ -143,6 +143,7 @@ def _cmd_redistribute(args) -> int:
         raise ConfigError(f"cannot read snapshot: {exc}")
     pop = load_snapshot(lines)
     protocol = parse_energy_protocol(args.energy_protocol)
+    check_total(protocol, pop.energy.total())
     loss = LossModel.parse(args.loss)
     scheduler = RandomScheduler(make_rng(args.seed), pop.n) if pop.n > 1 else None
     outcome = simulate(
@@ -239,12 +240,15 @@ def _cmd_sweep(args) -> int:
         raise ConfigError("sweep needs at least one --grid")
     keys = sorted(grid)
     out_root = Path(args.out)
+    runs = []  # every combination is validated before the first one runs
     for combo in itertools.product(*(grid[k] for k in keys)):
         overrides = dict(zip(keys, combo))
         config = ExperimentConfig.from_dict({**base.to_dict(), **overrides})
         name = ",".join(
             f"{k}={str(v).replace(':', '-').replace('/', '-')}" for k, v in overrides.items()
         )
+        runs.append((name, config))
+    for name, config in runs:
         _say(args, f"sweep {name}")
         run_experiment(config, out_dir=out_root / name, **_progress(args, config.repetitions))
     return 0

@@ -24,8 +24,9 @@ draws)``, which moves energy from the child c up to the parent p.
 ``mark_active(mask, pop, draws)`` tells an ``ActivePairs`` mask which pairs
 the protocol can act on once the estimates have stabilized: ``lambda`` and
 ``kappa`` hand it their ratio, and the mask tests ``below_ratio``, the one
-test their ``edge_step`` makes, so it holds an edge exactly while a step on
-it would move energy; ``rand`` pins every edge, since it draws its ratio on
+test their ``edge_step`` makes (the exchanges write it out, as the mask's
+energy-only refresh does), so it holds an edge exactly while a step on it
+would move energy; ``rand`` pins every edge, since it draws its ratio on
 each edge interaction. ``convergence`` says how a run ends: at the first
 zero distribution distance (``DD_ZERO``, the edge protocols) or after a
 window with no move (``QUIESCENCE``, the targeted ones). ``draws``
@@ -42,6 +43,7 @@ of churning on float noise.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -69,6 +71,9 @@ BETA_CAP = 0.999
 # Past that, lam + 1.0 rounds towards lam and x can exceed E_c. 2^50 keeps a
 # factor of 8/3 from it. (Where a result is subnormal, its rounding error is
 # at most half a unit of 2^-1074 instead, and x still rounds to at most E_c.)
+# The test lam * E_c must also stay finite: an infinite product makes
+# inf - E_p > slack * inf false, and the edge never fires. ``check_total``
+# bounds the ratio by the total energy for that.
 MAX_RATIO = 2.0**50
 DD_ZERO = "dd_zero"  # the values of a protocol's ``convergence``
 QUIESCENCE = "quiescence"
@@ -175,20 +180,12 @@ def below_ratio(ep: float, ec: float, ratio: float) -> bool:
     return a - ep > CONDITION_SLACK * a
 
 
-def _exchange(energy: EnergyState, p: int, c: int, lam: float, draws) -> float:
-    """Fires only while E_p < lam * E_c, moving x = (lam * E_c - E_p) / (lam + 1)
-    from child to parent so that, with no loss, the pair lands exactly on
-    E_p = lam * E_c. Returns x (0 if idle)."""
-    e = energy.per_node
-    if below_ratio(e[p], e[c], lam):
-        x = (lam * e[c] - e[p]) / (lam + 1.0)
-        energy.transfer(c, p, x, draws.beta())
-        return x
-    return 0.0
-
-
 @dataclass(frozen=True)
 class LambdaExchange(_EdgeProtocol):
+    """Fires only while E_p < lam * E_c, moving x = (lam * E_c - E_p) / (lam + 1)
+    from child to parent so that, with no loss, the pair lands exactly on
+    E_p = lam * E_c."""
+
     lam: float
     tag = "LAMBDA"
 
@@ -201,7 +198,15 @@ class LambdaExchange(_EdgeProtocol):
         return self.lam
 
     def edge_step(self, energy: EnergyState, p: int, c: int, draws) -> float:
-        return _exchange(energy, p, c, self.lam, draws)
+        # below_ratio written out, so that no call falls between step and
+        # transfer; a - E_p is the numerator lam * E_c - E_p
+        e, lam = energy.per_node, self.lam
+        a = lam * e[c]
+        if a - e[p] > CONDITION_SLACK * a:
+            x = (a - e[p]) / (lam + 1.0)
+            energy.transfer(c, p, x, draws.beta())
+            return x
+        return 0.0
 
 
 @dataclass(frozen=True)
@@ -219,7 +224,14 @@ class RandExchange(_EdgeProtocol):
                               f"(got {self.lo!r}, {self.hi!r})")
 
     def edge_step(self, energy: EnergyState, p: int, c: int, draws) -> float:
-        return _exchange(energy, p, c, draws.rng.uniform(self.lo, self.hi), draws)
+        # the lambda exchange at the drawn ratio, written out as there
+        e, lam = energy.per_node, draws.rng.uniform(self.lo, self.hi)
+        a = lam * e[c]
+        if a - e[p] > CONDITION_SLACK * a:
+            x = (a - e[p]) / (lam + 1.0)
+            energy.transfer(c, p, x, draws.beta())
+            return x
+        return 0.0
 
     def mark_active(self, mask, pop: Population, draws) -> None:
         mask.pin_edges()  # it draws its ratio on every edge interaction
@@ -334,6 +346,25 @@ def parse_energy_protocol(spec: str) -> EnergyProtocol:
     if spec.startswith("kdepth:"):
         return DepthTarget(*spec_numbers(spec, what, 1, int))
     raise DomainError(f"cannot parse energy protocol {spec!r}")
+
+
+def check_total(protocol: EnergyProtocol, total: float) -> None:
+    """Refuse an exchange whose ratio times an energy can overflow when the
+    energies sum to ``total``. Every E_c is at most 2 * total (see
+    ``runner.dd_drift``), and every ratio applied is at most 2 * r, where r
+    is lam or rand's hi (a draw is at most hi * (1 + 2^-51)). So each
+    product ratio * E_c is at most 4 * r * total, and, rounding being
+    monotone, it is finite while that bound is. (The kappa ratio is 2, and
+    the targeted protocols scale no energy up.)"""
+    if isinstance(protocol, LambdaExchange):
+        ratio = protocol.lam
+    elif isinstance(protocol, RandExchange):
+        ratio = protocol.hi
+    else:
+        return
+    if not math.isfinite(4.0 * ratio * total):
+        raise DomainError(f"exchange ratio {ratio!r} is too large for total energy {total!r}: "
+                          "4 * ratio * total must be a finite float")
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .core import MAX_ENERGY, EnergyState, Population, TreeNetwork
-from .energy import EnergyProtocol, LossModel, parse_energy_protocol
+from .energy import EnergyProtocol, LossModel, check_total, parse_energy_protocol
 from .errors import ConfigError, DomainError, ReplayMismatch
 from .formation import FormationProtocol, snapshot_digest
 from .metrics import energy_distance, write_metrics_csv
@@ -27,6 +27,7 @@ from .runner import (
     BASIS_INITIAL,
     BASIS_POST_FORMATION,
     CONCURRENT,
+    MAX_CADENCE,
     TWOPHASE,
     SimOutcome,
     default_budget,
@@ -96,10 +97,12 @@ class ExperimentConfig:
         total = self.total_energy
         if total is not None and (type(total) not in (int, float) or not 0 < total <= MAX_ENERGY):
             raise ConfigError(f"total_energy must be positive and <= 1e300 (got {total!r})")
+        if self.metric_cadence is not None and self.metric_cadence > MAX_CADENCE:
+            raise ConfigError(f"metric_cadence must be at most 2^53 (got {self.metric_cadence!r})")
         try:
             self.formation()
             if self.energy_protocol is not None:
-                self.energy()
+                check_total(self.energy(), self.resolved_total())
             self.loss_model()
         except DomainError as exc:
             raise ConfigError(str(exc)) from exc

@@ -172,6 +172,14 @@ def _idle_rules(pairs: list[tuple[int, int]], start: int, parent: list[int], kar
     return [UW if parent[u] == v or parent[v] == u else NOOP for u, v in pairs[start:]]
 
 
+# The largest metric cadence a run takes. ``dd_drift`` turns its ops, at
+# most cadence * (4n + 6) + 2n, into a float: for n <= harness.MAX_N = 10^4
+# and a total of at most MAX_ENERGY = 1e300, ops * total * 2^-50 is at most
+# (2^53 * 40006 + 20000) * 1e300 * 2^-50 < 3.3e305, a factor of 500 below
+# the largest float. A cadence past the budget samples as one at it does.
+MAX_CADENCE = 2**53
+
+
 def dd_drift(n: int, cadence: int, total: float) -> float:
     """A bound on how far the running dd can be from a resync of the same
     state, on n nodes that held ``total`` energy when the phase began.
@@ -215,7 +223,13 @@ class _Tally:
     the clamp. It is read at the detector's ``due`` step (the horizon for
     dd-zero; the verdict can fall nowhere earlier for quiescence), at a
     dd-zero stop with no witness, at each metric sample, and at the end.
-    Elsewhere the detector is fed ``math.inf``, as on a partial tree.
+
+    The detector is fed only where it can act: where the value is read, on
+    a quiescence move, and on a partial tree from its horizon on. Anywhere
+    else the step is before ``due``, so before the horizon and, for
+    quiescence, inside the window after the last move; so with no move a
+    quiescence ``observe``, and with an unread (infinite) distance a
+    dd-zero one, would change nothing.
 
     A witness is a tree edge whose gap 2*E_c - E_p exceeds ``floor`` =
     dd_tol + 2 * ``dd_drift``. While one exists a dd-zero stop needs no
@@ -231,13 +245,14 @@ class _Tally:
     __slots__ = (
         "pop", "net", "energy", "driver", "detector", "basis_total", "t0", "cadence",
         "record", "dd_zero", "edges", "ideal", "observing", "dd", "dirty", "runs", "last",
-        "until", "margin", "floor", "copy", "summed", "log", "witness",
+        "until", "margin", "floor", "copy", "summed", "log", "witness", "e",
     )
 
     def __init__(self, pop: Population, driver, protocol: EnergyProtocol, window: int,
                  budget: int, basis_total: float, complete: bool, t0: int, cadence: int,
                  record: bool):
         self.pop, self.net, self.energy = pop, pop.network, pop.energy
+        self.e = pop.energy.per_node
         self.driver, self.basis_total = driver, basis_total
         self.detector = detector = ConvergenceDetector(
             protocol.convergence, window, DD_TOL_FRACTION * basis_total, budget)
@@ -274,7 +289,7 @@ class _Tally:
     def resync(self) -> None:
         # The running dd restarts from the full sum of this state, taken
         # when it is read.
-        self.copy = self.energy.per_node[:]
+        self.copy = self.e[:]
         self.summed = False
         self.log.clear()
         self.dirty = False
@@ -297,11 +312,11 @@ class _Tally:
             self.log.clear()
         return self.dd
 
-    def _witnessed(self) -> bool:
-        e, floor, w = self.energy.per_node, self.floor, self.witness
-        if w is not None and 2.0 * e[w[1]] - e[w[0]] > floor:
-            return True
-        best, self.witness = floor, None
+    def _rescan(self) -> bool:
+        """Whether some tree edge is a witness; keeps the one with the
+        largest gap."""
+        e, best = self.e, self.floor
+        self.witness = None
         for p, c in self.edges:
             gap = 2.0 * e[c] - e[p]
             if gap > best:
@@ -334,23 +349,33 @@ class _Tally:
                 self._sample(crossed, s - 1)
         self.last = t
         moved, beta = 0.0, None
+        e = self.e
         if u is not None:
             if joined:
                 self.resync()
             moved, beta = self.driver.move(self.pop, u, v)
             if moved:
-                e = self.energy.per_node
                 self.log.append((u, v, e[u], e[v]))
                 self.dirty = True
-        read = False
-        if self.observing:
-            read = s >= detector.due or (self.dd_zero and not self._witnessed())
-            dd = self.exact() if read else math.inf
-            if self.dd_zero and dd <= detector.dd_tol:
-                self.resync()  # confirm before declaring
+        read = s >= detector.due
+        if not self.observing:  # a dd-zero run on a partial tree: only the horizon decides
+            if read:
+                detector.observe(s, math.inf, moved)
+            read = False
+        elif self.dd_zero:
+            if not read:  # the kept witness, else a rescan
+                w = self.witness
+                if w is None or not 2.0 * e[w[1]] - e[w[0]] > self.floor:
+                    read = not self._rescan()
+            if read:
                 dd = self.exact()
-            detector.observe(s, dd, moved)
-        else:  # a dd-zero run on a partial tree: only the horizon decides
+                if dd <= detector.dd_tol:
+                    self.resync()  # confirm before declaring
+                    dd = self.exact()
+                detector.observe(s, dd, moved)
+        elif read:
+            detector.observe(s, self.exact(), moved)
+        elif moved:  # a quiescence move restarts the window
             detector.observe(s, math.inf, moved)
         if s % cadence == 0:
             if self.dirty:
@@ -425,6 +450,8 @@ def simulate(
     ):
         if value < 1:
             raise DomainError(f"{name} must be >= 1 (got {value})")
+    if metric_cadence > MAX_CADENCE:
+        raise DomainError(f"metric cadence must be at most 2^53 (got {metric_cadence})")
     if trace is not None and len(trace):
         raise DomainError("trace steps must be consecutive from 0")  # one run per trace
 
@@ -507,14 +534,14 @@ def simulate(
             if drawn is not None and k > 1:
                 trace.rules += _idle_rules(drawn, len(trace.rules), net.parent, kary)
         joined = False
-        if mask is not None and not mask.structural:
-            # No rule can change a register (see ActivePairs): only the move
-            # runs, tagged as a skipped step is.
-            tag = UW if kary and (net.parent[u] == v or net.parent[v] == u) else NOOP
-        else:
+        if mask is None or mask.structural:
             tag = apply_formation_rule(formation, pop, u, v) if formation else NOOP
             apply_estimation_rules(pop, u, v)
             joined = tag in CONNECTING_RULES
+        elif trace is not None:
+            # No rule can change a register (see ActivePairs): only the move
+            # runs, tagged as a skipped step is.
+            tag = UW if kary and (net.parent[u] == v or net.parent[v] == u) else NOOP
         probe = remask = False
         if joined:
             if not complete and net.edge_count == n - 1 and is_formation_complete(net):

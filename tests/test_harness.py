@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from enertree import harness
 from enertree.cli import main as cli_main
-from enertree.errors import ConfigError, ReplayMismatch
+from enertree.energy import parse_energy_protocol
+from enertree.errors import ConfigError, DomainError, ReplayMismatch
 from enertree.formation import load_snapshot
 from enertree.harness import (
     MAX_N,
@@ -24,7 +25,7 @@ from enertree.harness import (
 )
 from enertree.metrics import distribution_distance
 from enertree.runner import default_budget, default_window, simulate
-from enertree.scheduler import make_rng, read_trace, write_trace
+from enertree.scheduler import RandomScheduler, make_rng, read_trace, write_trace
 
 from conftest import DEMO_EDGES, DEMO_ENERGIES, build_tree, samples
 
@@ -116,6 +117,68 @@ def test_cli_experiment_rejects_an_exchange_ratio_past_the_bound(tmp_path, capsy
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "2^50" in err
     assert not out.exists()
+
+
+def test_cli_experiment_rejects_a_metric_cadence_past_2_to_the_53(tmp_path, capsys):
+    # dd_drift turns the cadence into a float: this one once ended in an
+    # OverflowError traceback.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"n": 5, "repetitions": 1, "metric_cadence": 1' + "0" * 400 + "}")
+    assert cli_main(["experiment", "--config", str(cfg), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: metric_cadence") and err.count("\n") == 1
+    with pytest.raises(ConfigError, match="2\\^53"):
+        ExperimentConfig(metric_cadence=2**53 + 1)
+    ExperimentConfig(n=5, metric_cadence=2**53)
+    pop = build_tree(6, DEMO_EDGES, DEMO_ENERGIES)
+    with pytest.raises(DomainError, match="2\\^53"):
+        simulate(pop, formation=None, scheduler=RandomScheduler(make_rng(0), pop.n),
+                 energy_protocol=parse_energy_protocol("lambda:2"), metric_cadence=2**53 + 1)
+
+
+OVERFLOW = {"n": 4, "protocol": "kary:2", "total_energy": 1e300, "step_budget": 20000,
+            "repetitions": 1}
+
+
+@pytest.mark.parametrize("spec", ["lambda:1125899906842624", "rand:2,1125899906842624",
+                                  "lambda:1e8"])
+def test_cli_experiment_rejects_a_ratio_whose_product_with_the_total_overflows(
+        tmp_path, capsys, spec):
+    # At 1e300, ratio * E_c is infinite, the edge test is false and the edge
+    # never fires: lambda:2^50 once ended unconverged at tau 20,000.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**OVERFLOW, "energy_protocol": spec}))
+    assert cli_main(["experiment", "--config", str(cfg), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: exchange ratio") and err.count("\n") == 1
+
+
+def test_a_ratio_is_bounded_by_its_product_with_the_total():
+    # 4 * ratio * total must be finite; kappa and the targeted protocols
+    # take any total.
+    limit = sys.float_info.max / 4
+    ExperimentConfig(**{**OVERFLOW, "energy_protocol": "lambda:2", "total_energy": 1e300})
+    ExperimentConfig(**{**OVERFLOW, "energy_protocol": "lambda:1e7"})
+    ExperimentConfig(**{**OVERFLOW, "energy_protocol": "lambda:1125899906842624",
+                        "total_energy": limit / 2.0**50})
+    with pytest.raises(ConfigError, match="exchange ratio"):
+        ExperimentConfig(**{**OVERFLOW, "energy_protocol": "lambda:1125899906842624",
+                            "total_energy": limit / 2.0**49})
+    for spec in ["kappa:0.5", "ideal", "kdepth:2", "rand"]:
+        ExperimentConfig(**{**OVERFLOW, "energy_protocol": spec})
+
+
+def test_cli_redistribute_rejects_a_ratio_whose_product_with_the_snapshot_total_overflows(
+        tmp_path, capsys):
+    snap = tmp_path / "snap.txt"
+    assert cli_main(["form", "--n", "4", "--protocol", "kary:2", "--total-energy", "1e300",
+                     "--out", str(snap), "--quiet"]) == 0
+    argv = ["redistribute", "--snapshot", str(snap), "--budget", "20000", "--quiet",
+            "--energy-protocol"]
+    assert cli_main(argv + ["lambda:1125899906842624"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: exchange ratio") and err.count("\n") == 1
+    assert cli_main(argv + ["lambda:2"]) == 0
 
 
 def _set(rows, i, column, value):
@@ -594,6 +657,18 @@ def test_cli_sweep(tmp_path):
     assert len(dirs) == 2
     for d in dirs:
         assert (out / d / "summary.json").exists()
+
+
+@pytest.mark.parametrize("grid", ["n=5,10000000000", "energy_protocol=lambda:2,lambda:1e17"])
+def test_cli_sweep_validates_every_combination_before_it_runs_one(tmp_path, capsys, grid):
+    # The bad value is in the last combination: nothing may be written.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 5, "repetitions": 1}))
+    out = tmp_path / "swp"
+    assert cli_main(["sweep", "--config", str(cfg), "--grid", grid, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.out == "" and not out.exists()
 
 
 @pytest.mark.parametrize("argv, experiments", [
