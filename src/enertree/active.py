@@ -11,8 +11,9 @@ entry is a stop. UH is not written into the rows: ``key`` mirrors ``h``,
 and while ``uh`` (the ordered pairs whose keys differ) is nonzero the engine
 hands ``key`` to ``skip``, which also stops where two keys differ. ``uh`` is
 kept from the count of nodes per key, n(n - 1) less the sum of c(c - 1) over
-the counts c, so a change of ``h`` costs O(1). ``count`` is the rows' sum
-plus ``uh``.
+the counts c, so a change of ``h`` costs O(1). ``count`` is the rows' sum.
+The engine reads it only in redistribution, where the estimates have
+settled, so every ``h`` is the tree height and ``uh`` is 0.
 
 The families, on a completed tree:
 
@@ -101,7 +102,7 @@ class ActivePairs:
         self.heights = Counter(self.key)  # nodes per key
         self.uh = n * (n - 1) - sum(c * (c - 1) for c in self.heights.values())
         self.rows = [bytearray(n - 1) for _ in range(n)]
-        self.count = self.uh
+        self.count = 0
         self.structural = self.uh // 2
         # UW fires only under the k-ary rules
         self.uw = formation is not None and formation.kind == KARY
@@ -217,7 +218,6 @@ class ActivePairs:
         gained = heights[old] - heights[new]
         heights[new] += 1
         self.uh += 2 * gained
-        self.count += 2 * gained
         self.structural += gained
 
     def _side(self, x: int) -> None:

@@ -14,9 +14,8 @@ import json
 import math
 import statistics
 from dataclasses import asdict, dataclass, field, fields
-from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional
 
 from .core import MAX_ENERGY, EnergyState, Population, TreeNetwork
 from .energy import EnergyProtocol, LossModel, check_total, parse_energy_protocol
@@ -24,8 +23,6 @@ from .errors import ConfigError, DomainError, ReplayMismatch
 from .formation import FormationProtocol, snapshot_digest
 from .metrics import energy_distance, write_metrics_csv
 from .runner import (
-    BASIS_INITIAL,
-    BASIS_POST_FORMATION,
     CONCURRENT,
     MAX_CADENCE,
     TWOPHASE,
@@ -45,6 +42,13 @@ from .scheduler import (
 
 UNIFORM = "uniform"
 RANDOM = "random"
+
+# The two target_energy_basis values give the same run: no energy moves
+# before the protocol joins, so the total it starts from is the initial
+# total. The field stays because summary.json and every trace header echo
+# the config.
+BASIS_POST_FORMATION = "post_formation"
+BASIS_INITIAL = "initial"
 
 # The largest population a config may ask for. Two costs grow as n^2: once
 # the tree forms, the active-pair mask holds n(n - 1) bytes of rows (100 MB
@@ -136,7 +140,6 @@ class ExperimentConfig:
             energy_budget=budget,
             window=self.quiescence_window or default_window(self.n),
             metric_cadence=self.metric_cadence,
-            target_basis=self.target_energy_basis,
         )
 
     def to_dict(self) -> dict:
@@ -288,23 +291,6 @@ AGGREGATE_FIELDS = [
 ]
 
 
-def population_stddev(values: Sequence[float]) -> float:
-    """Population standard deviation, computed exactly in fractions and
-    rounded once: the correctly rounded value, which ``statistics.pstdev``
-    gives only from CPython 3.11 on."""
-    xs = [Fraction(x) for x in values]
-    mean = sum(xs) / len(xs)
-    var = sum((x - mean) ** 2 for x in xs) / len(xs)
-    # root = floor(sqrt(var) * 2**k) with at least 55 bits, rounded to odd
-    # when inexact, so the one rounding of root / 2**k to a float is correct.
-    num, den = var.numerator, var.denominator
-    k = max(0, 56 - (num.bit_length() - den.bit_length()) // 2)
-    root = math.isqrt((num << 2 * k) // den)
-    if root * root * den != num << 2 * k:
-        root |= 1
-    return root / (1 << k)
-
-
 def aggregate_rows(rows: list[dict]) -> dict:
     """Mean and population stddev of each numeric column, plus convergence
     counts. NaNs (never-formed runs) are excluded per column; a column with
@@ -315,7 +301,7 @@ def aggregate_rows(rows: list[dict]) -> dict:
         if values:
             out[name] = {
                 "mean": statistics.fmean(values),
-                "stddev": population_stddev(values),
+                "stddev": statistics.pstdev(values),
             }
         else:
             out[name] = {"mean": None, "stddev": None}

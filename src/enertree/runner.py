@@ -86,9 +86,6 @@ from .scheduler import InteractionTrace, ScriptedScheduler
 TWOPHASE = "twophase"
 CONCURRENT = "concurrent"
 
-BASIS_POST_FORMATION = "post_formation"
-BASIS_INITIAL = "initial"
-
 # Absolute distribution-distance tolerance, as a fraction of total energy.
 DD_TOL_FRACTION = 1e-9
 
@@ -155,7 +152,6 @@ class SimOutcome:
     report: Optional[ConvergenceReport] = None
     metric_runs: list[MetricRun] = field(default_factory=list)
     ideal: Optional[IdealEnergyTable] = None
-    basis_total: Optional[float] = None
     trace: Optional[InteractionTrace] = None
     skipped_steps: int = 0  # idle steps skipped by the scheduler or jumped over
 
@@ -416,7 +412,6 @@ def simulate(
     energy_budget: Optional[int] = None,
     window: Optional[int] = None,
     metric_cadence: Optional[int] = None,
-    target_basis: str = BASIS_POST_FORMATION,
     trace: Optional[InteractionTrace] = None,
     validate: bool = False,
     record_metrics: bool = True,
@@ -433,8 +428,6 @@ def simulate(
     e = pop.energy
     if phase_mode not in (TWOPHASE, CONCURRENT):
         raise DomainError(f"unknown phase mode {phase_mode!r}")
-    if phase_mode == CONCURRENT and target_basis != BASIS_INITIAL:
-        raise DomainError("concurrent mode requires the initial-energy basis")
     if formation_budget is None:
         formation_budget = default_budget(n)
     if energy_budget is None:
@@ -467,7 +460,7 @@ def simulate(
     replaying = isinstance(scheduler, ScriptedScheduler)
     driver = basis_total = None
     if energy_protocol is not None:
-        basis_total = e.initial_total if target_basis == BASIS_INITIAL else e.total()
+        basis_total = e.total()  # no energy moves before the protocol joins
         if replaying:
             driver = scheduler
         else:
@@ -589,7 +582,6 @@ def simulate(
         outcome.report = tally.detector.report()
         outcome.metric_runs = tally.end(t)
         outcome.ideal = tally.ideal
-        outcome.basis_total = basis_total
     elif driver is not None:
         # Formation never finished; report an unconverged run.
         outcome.report = ConvergenceReport(tau=energy_budget, dd_at_tau=math.nan, converged=False)

@@ -3,6 +3,21 @@ import pytest
 from enertree.core import EnergyState, Population, TreeNetwork
 from enertree.scheduler import TraceRecord
 
+# Files whose every test is in the byte-identity contract (marker
+# ``contract``, registered in pyproject.toml); the contract's single tests
+# elsewhere carry the marker themselves.
+CONTRACT_FILES = {
+    "test_golden.py", "test_skipping.py", "test_active_pairs.py", "test_tracer_hooks.py",
+    "test_scheduler.py", "test_lazy_books.py", "test_edge_pins.py",
+}
+
+
+@pytest.hookimpl(tryfirst=True)  # before ``-m`` deselects
+def pytest_collection_modifyitems(items):
+    for item in items:
+        if item.path.name in CONTRACT_FILES:
+            item.add_marker(pytest.mark.contract)
+
 
 def build_tree(n, edges, energies=None, arity=None, w=None):
     """Assemble a Population from explicit (parent, child) edges."""

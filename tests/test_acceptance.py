@@ -296,7 +296,7 @@ def test_c05_lossless_targeted_exactness():
                 if not r.converged:
                     failures.append(f"{label}: did not converge")
                     continue
-                total = r.outcome.basis_total
+                total = r.outcome.ideal.total
                 if not r.ed <= 1e-6 * total:
                     failures.append(f"{label}: residual distance {r.ed:.3g}")
                 if not check_distribution(r.outcome.pop.network, r.outcome.pop.energy,

@@ -47,7 +47,7 @@ from test_skipping import _stable_binary_tree
 
 PROTOCOLS = ["ideal", "lambda:2", "rand", "kappa:0.5", "kdepth:2"]
 LOSSES = ["lossless", "normal:0.2,0.05"]
-MODES = [("twophase", "post_formation"), ("concurrent", "initial")]
+MODES = ["twophase", "concurrent"]
 DIFF = settings(max_examples=120, deadline=None, derandomize=True)
 RUNS = settings(DIFF, max_examples=100)
 
@@ -55,7 +55,7 @@ RUNS = settings(DIFF, max_examples=100)
 @st.composite
 def configs(draw) -> ExperimentConfig:
     n = draw(st.integers(2, 40))
-    mode, basis = draw(st.sampled_from(MODES))
+    mode = draw(st.sampled_from(MODES))
     return ExperimentConfig(
         n=n,
         protocol=draw(st.sampled_from(["arbitrary", "kary:2", "kary:3"])),
@@ -66,7 +66,7 @@ def configs(draw) -> ExperimentConfig:
         master_seed=draw(st.integers(0, 10**6)),
         step_budget=draw(st.integers(1, 200) | st.integers(25 * n * n, 40 * n * n)),
         phase_mode=mode,
-        target_energy_basis=basis,
+        target_energy_basis="initial" if mode == "concurrent" else "post_formation",
         quiescence_window=draw(st.none() | st.integers(1, 300)),
         metric_cadence=draw(st.none() | st.integers(1, 50)),
     )
@@ -147,6 +147,45 @@ def test_structural_count_matches_a_recount_after_every_stop(config):
         replay_trace(traced.trace)
     assert all(checked)
     assert checked or not traced.stabilized
+
+
+@RUNS
+@given(configs())
+def test_no_uh_pair_is_left_in_any_mask_built_while_the_tally_runs(config):
+    # The engine jumps a quiet tail once ``count``, the rows' sum, is 0; UH
+    # is not in the rows, so every mask built once the tally runs must hold
+    # no UH pair, after its build and after every refresh, live, traced and
+    # in replay.
+    tally = []  # nonempty once the current run's tally has started
+    checked = []  # (tally running, count is the rows' sum, uh) at each check
+    build, refresh, start = ActivePairs.__init__, ActivePairs.refresh, runner._Tally.__init__
+
+    def check(mask):
+        checked.append((bool(tally), mask.count == sum(map(sum, mask.rows)), mask.uh))
+
+    def built(mask, *args):
+        build(mask, *args)
+        check(mask)
+
+    def refreshed(mask, *args):
+        refresh(mask, *args)
+        check(mask)
+
+    def started(books, *args):
+        start(books, *args)
+        tally.append(books)
+
+    with mock.patch.object(ActivePairs, "__init__", built), \
+            mock.patch.object(ActivePairs, "refresh", refreshed), \
+            mock.patch.object(runner._Tally, "__init__", started):
+        run_single(config, 0, record_trace=False)
+        tally.clear()
+        traced = run_single(config, 0, record_trace=True).outcome
+        tally.clear()
+        replay_trace(traced.trace)
+    assert all(rows for _, rows, _ in checked)
+    assert all(uh == 0 for running, _, uh in checked if running)
+    assert any(running for running, _, _ in checked) or not traced.stabilized
 
 
 @st.composite
@@ -230,7 +269,7 @@ def test_skipping_engine_matches_step_path_on_a_snapshot(
     kwargs = dict(
         formation=FormationProtocol.kary(k) if kary else None,
         energy_protocol=parse_energy_protocol(protocol), loss=LossModel.parse(loss),
-        phase_mode=mode[0], target_basis=mode[1], formation_budget=budget,
+        phase_mode=mode, formation_budget=budget,
         energy_budget=budget, window=window, metric_cadence=cadence,
     )
     fast, _, _ = _simulate(lines, k, seed, False, False, **kwargs)
@@ -362,7 +401,7 @@ def _uh(h) -> int:
        st.sampled_from([None, "ideal", "lambda:2", "rand", "kappa:0.5"]), st.sampled_from(LOSSES))
 def test_uh_count_tracks_unsettled_registers_outside_the_rows(data, n, k, kary, protocol, loss):
     # UH is kept by per-h counts, not in the rows: after every step the
-    # count of UH pairs is the recount, and ``count`` is the rows plus it.
+    # count of UH pairs is the recount, and ``count`` is the rows' sum.
     pop = _unsettled_tree(data.draw, n, k)
     formation = FormationProtocol.kary(k) if kary else FormationProtocol.arbitrary()
     scheduler = RandomScheduler(make_rng(data.draw(st.integers(0, 10**6))), n)
@@ -381,7 +420,7 @@ def test_uh_count_tracks_unsettled_registers_outside_the_rows(data, n, k, kary, 
         moved = driver.move(pop, u, v)[0] if driver else 0.0
         mask.refresh(u, v, moved)
         assert mask.uh == _uh(pop.h)
-        assert mask.count == sum(map(sum, mask.rows)) + mask.uh
+        assert mask.count == sum(map(sum, mask.rows))
 
 
 @DIFF
@@ -401,7 +440,7 @@ def test_unsettled_heights_on_straight_edges_leave_every_row_empty(data, n, k, k
     mask = ActivePairs(pop, formation)
     assert mask.uh == _uh(h) > 0
     assert not any(map(any, mask.rows))
-    assert (mask.count, mask.structural) == (mask.uh, mask.uh // 2)
+    assert (mask.count, mask.structural) == (0, mask.uh // 2)
     scheduler = RandomScheduler(make_rng(data.draw(st.integers(0, 10**6))), n)
     for _ in range(20 * n):
         u, v = scheduler.next_pair()
@@ -409,7 +448,7 @@ def test_unsettled_heights_on_straight_edges_leave_every_row_empty(data, n, k, k
         apply_estimation_rules(pop, u, v)
         mask.refresh(u, v, 0.0)
         assert not any(map(any, mask.rows))
-        assert mask.count == mask.uh == _uh(h)
+        assert mask.count == 0 and mask.uh == _uh(h)
 
 
 def test_kdepth_root_rows_only_while_the_root_holds_energy():

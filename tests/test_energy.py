@@ -455,11 +455,13 @@ def _edge_cases():
             yield ep, ec, 2.0
 
 
+@pytest.mark.contract
 @pytest.mark.parametrize("ep, ec, ratio", list(_edge_cases()))
 def test_below_ratio_is_the_slack_test_written_out(ep, ec, ratio):
     assert below_ratio(ep, ec, ratio) is strictly_greater(ratio * ec, ep)
 
 
+@pytest.mark.contract
 @settings(max_examples=500, deadline=None, derandomize=True)
 @given(st.floats(0.0, 1e300), st.floats(0.0, 1e300), st.sampled_from(RATIOS))
 def test_below_ratio_agrees_with_strictly_greater_on_any_energies(ep, ec, ratio):
@@ -467,6 +469,7 @@ def test_below_ratio_agrees_with_strictly_greater_on_any_energies(ep, ec, ratio)
 
 
 # ------------------------------------------------- the ratio bound, no negative
+@pytest.mark.contract
 @pytest.mark.parametrize("spec", ["lambda:1e17", "lambda:1125899906842625", "rand:2,1e17",
                                   "rand:1e16,1e17"])
 def test_a_ratio_above_the_bound_is_refused(spec):
@@ -474,6 +477,7 @@ def test_a_ratio_above_the_bound_is_refused(spec):
         parse_energy_protocol(spec)
 
 
+@pytest.mark.contract
 def test_a_ratio_at_the_bound_is_accepted_and_keeps_every_energy_non_negative():
     assert MAX_RATIO == 2.0**50 == 1125899906842624
     assert parse_energy_protocol("lambda:1125899906842624") == LambdaExchange(MAX_RATIO)
@@ -489,6 +493,7 @@ ENERGIES = st.sampled_from([0.0, 5e-324, 1.0, 1e300]) | st.floats(0.0, MAX_ENERG
 BETAS = st.sampled_from([0.0, BETA_CAP]) | st.floats(0.0, BETA_CAP)
 
 
+@pytest.mark.contract
 @settings(max_examples=1000, deadline=None, derandomize=True)
 @given(ENERGIES, ENERGIES, st.sampled_from([2.0, MAX_RATIO]) | st.floats(2.0, MAX_RATIO),
        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), BETAS, st.integers(0, 2**32))
@@ -506,6 +511,7 @@ def test_an_edge_move_leaves_both_energies_non_negative(ep, ec, ratio, kappa, be
         assert min(e.per_node) >= 0.0, protocol
 
 
+@pytest.mark.contract
 @settings(max_examples=500, deadline=None, derandomize=True)
 @given(st.lists(ENERGIES, min_size=3, max_size=3), st.lists(ENERGIES, min_size=3, max_size=3),
        st.lists(st.integers(0, 40), min_size=6, max_size=6), st.floats(1e-300, MAX_ENERGY),

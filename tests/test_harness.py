@@ -17,7 +17,6 @@ from enertree.formation import load_snapshot
 from enertree.harness import (
     MAX_N,
     ExperimentConfig,
-    population_stddev,
     replay_trace,
     run_experiment,
     run_single,
@@ -58,8 +57,8 @@ def test_config_rejects_bad_values():
         ExperimentConfig(initial_energy="weird")
     with pytest.raises(ConfigError):
         ExperimentConfig(energy_protocol="lambda:0.5")
-    with pytest.raises(ConfigError):
-        ExperimentConfig(phase_mode="concurrent")  # needs initial basis
+    with pytest.raises(ConfigError, match="target_energy_basis=initial"):
+        ExperimentConfig(phase_mode="concurrent")  # default post_formation basis
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict({"n": 5, "bogus": 1})
 
@@ -332,6 +331,37 @@ def test_concurrent_mode_exchange_waits_for_completion():
     assert distribution_distance(out.pop.network, out.pop.energy.per_node) <= 1e-9 * total
 
 
+@pytest.mark.parametrize("protocol", ["arbitrary", "kary:2"])
+@pytest.mark.parametrize("energy", ["ideal", "lambda:2", "rand", "kappa:0.5", "kdepth:2"])
+def test_the_target_basis_changes_no_run(tmp_path, protocol, energy):
+    # No energy moves before the protocol joins, so both bases start from
+    # the initial total: every output but the config echo is the same.
+    for loss in ("lossless", "normal:0.2,0.05"):
+        for initial in ("uniform", "random"):
+            outputs = []
+            for basis in ("initial", "post_formation"):
+                config = ExperimentConfig(
+                    n=12, protocol=protocol, energy_protocol=energy, loss=loss,
+                    initial_energy=initial, repetitions=2, master_seed=3,
+                    target_energy_basis=basis, emit_traces=True, emit_metrics=True,
+                )
+                out = tmp_path / f"{protocol}-{energy}-{loss}-{initial}-{basis}"
+                summary = run_experiment(config, out)
+                traces = []
+                for i in range(2):
+                    lines = (out / f"run_{i}" / "trace.txt").read_text().splitlines()
+                    config_line = json.loads(lines.pop(2).removeprefix("# config="))
+                    assert config_line == config.to_dict()
+                    traces.append(lines)
+                outputs.append((
+                    (out / "runs.csv").read_bytes(),
+                    [(out / f"run_{i}" / "metrics.csv").read_bytes() for i in range(2)],
+                    [(r.outcome.digest, repr(r.outcome.metric_runs)) for r in summary.results],
+                    traces,
+                ))
+            assert outputs[0] == outputs[1]
+
+
 # ---------------------------------------------------------------- experiment
 def test_experiment_aggregate_matches_rows(tmp_path):
     config = ExperimentConfig(
@@ -353,13 +383,19 @@ def test_experiment_aggregate_matches_rows(tmp_path):
     assert stored["aggregate"]["converged_count"] == sum(r["converged"] for r in rows)
 
 
+def _stddev(values) -> float:
+    """The population stddev that ``aggregate_rows`` writes for a column."""
+    rows = [dict.fromkeys(harness.AGGREGATE_FIELDS, x) | {"converged": 1} for x in values]
+    return harness.aggregate_rows(rows)["tau"]["stddev"]
+
+
 def test_population_stddev_hand_checked():
-    assert population_stddev([5.0]) == 0.0
-    assert population_stddev([2, 4, 4, 4, 5, 5, 7, 9]) == 2.0
-    assert population_stddev([1, 2, 3, 4]) == math.sqrt(1.25)  # 1.25 is exact
-    # The variance is 494/9; statistics.pstdev on CPython 3.10 gives
-    # 7.408703590297622, one ulp below the correctly rounded sqrt(494)/3.
-    assert population_stddev([28, 10, 21]) == 7.408703590297623
+    assert _stddev([5.0]) == 0.0
+    assert _stddev([2, 4, 4, 4, 5, 5, 7, 9]) == 2.0
+    assert _stddev([1, 2, 3, 4]) == math.sqrt(1.25)  # 1.25 is exact
+    # The variance is 494/9, and 7.408703590297623 is the correctly rounded
+    # sqrt(494)/3 (CPython 3.10's pstdev gave one ulp below it).
+    assert _stddev([28, 10, 21]) == 7.408703590297623
 
 
 NUMBERS = st.one_of(
@@ -372,14 +408,12 @@ NUMBERS = st.one_of(
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.lists(NUMBERS, min_size=1, max_size=12))
 def test_population_stddev_is_correctly_rounded(values):
-    r = population_stddev(values)
+    r = _stddev(values)
     xs = [Fraction(x) for x in values]
     mean = sum(xs) / len(xs)
     var = sum((x - mean) ** 2 for x in xs) / len(xs)
     half_ulp = Fraction(math.ulp(r)) / 2
     assert max(Fraction(r) - half_ulp, 0) ** 2 <= var <= (Fraction(r) + half_ulp) ** 2
-    if sys.version_info >= (3, 11):  # pstdev is correctly rounded from 3.11 on
-        assert r == statistics.pstdev(values)
 
 
 def test_experiment_single_repetition_equals_row():
@@ -749,6 +783,7 @@ def test_no_metric_samples_with_recording_off():
     assert samples(recorded.outcome)[0][0] == 0
 
 
+@pytest.mark.contract
 def test_dd_zero_verdict_after_a_cadence_resync_matches_step_path(monkeypatch):
     # Every move overstates the running dd by 1.0, so dd falls within
     # tolerance only at the full recomputation of a cadence step; the skip

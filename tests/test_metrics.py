@@ -314,6 +314,7 @@ def test_quiescence_with_no_moves_at_all():
     assert report.converged and report.tau == 0
 
 
+@pytest.mark.contract
 def test_dd_zero_due_is_the_horizon():
     detector = ConvergenceDetector(DD_ZERO, window=5, dd_tol=0.5, horizon=50)
     assert detector.due == 50
@@ -322,6 +323,7 @@ def test_dd_zero_due_is_the_horizon():
         assert detector.due == 50
 
 
+@pytest.mark.contract
 def test_quiescence_due_follows_each_detectable_move():
     detector = ConvergenceDetector(QUIESCENCE, window=10, dd_tol=0.5, horizon=100)
     assert detector.due == 10
@@ -335,6 +337,7 @@ def test_quiescence_due_follows_each_detectable_move():
     assert (detector.tau, detector.converged) == (8, True)
 
 
+@pytest.mark.contract
 def test_quiescence_due_never_passes_the_horizon():
     detector = ConvergenceDetector(QUIESCENCE, window=10, dd_tol=0.5, horizon=30)
     dues = []
@@ -347,6 +350,7 @@ def test_quiescence_due_never_passes_the_horizon():
     assert ConvergenceDetector(QUIESCENCE, window=50, dd_tol=0.0, horizon=30).due == 30
 
 
+@pytest.mark.contract
 @pytest.mark.parametrize("spec, dd_at_tau", [
     ("lambda:2", math.inf), ("rand", math.inf), ("kappa:0.5", math.inf),
     ("ideal", 27000.0), ("kdepth:2", 48000.0),
@@ -422,6 +426,7 @@ def metric_runs(draw) -> list[MetricRun]:
     return runs
 
 
+@pytest.mark.contract
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(metric_runs())
 def test_metrics_csv_is_the_bytes_of_the_csv_writer(runs):
@@ -429,6 +434,7 @@ def test_metrics_csv_is_the_bytes_of_the_csv_writer(runs):
     assert new == old
 
 
+@pytest.mark.contract
 @pytest.mark.parametrize("runs", [
     pytest.param([], id="header-only"),
     pytest.param([MetricRun(range(7, 8), x, x, x) for x in EDGE_FLOATS], id="one-step-runs"),
@@ -443,6 +449,7 @@ def test_metrics_csv_edge_cases_match_the_csv_writer(runs):
     assert new.count(b"\r\n") == 1 + sum(len(r.steps) for r in runs)
 
 
+@pytest.mark.contract
 def test_metric_runs_cover_the_cadence_grid_in_step_order():
     config = ExperimentConfig(n=12, energy_protocol="ideal", loss="normal:0.2,0.05",
                               initial_energy="random", metric_cadence=5)
