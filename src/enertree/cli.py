@@ -240,15 +240,17 @@ def _cmd_sweep(args) -> int:
         raise ConfigError("sweep needs at least one --grid")
     keys = sorted(grid)
     out_root = Path(args.out)
-    runs = []  # every combination is validated before the first one runs
+    runs = {}  # every combination is validated before the first one runs
     for combo in itertools.product(*(grid[k] for k in keys)):
         overrides = dict(zip(keys, combo))
         config = ExperimentConfig.from_dict({**base.to_dict(), **overrides})
         name = ",".join(
             f"{k}={str(v).replace(':', '-').replace('/', '-')}" for k, v in overrides.items()
         )
-        runs.append((name, config))
-    for name, config in runs:
+        if name in runs:
+            raise ConfigError(f"two grid combinations share the directory {name!r}")
+        runs[name] = config
+    for name, config in runs.items():
         _say(args, f"sweep {name}")
         run_experiment(config, out_dir=out_root / name, **_progress(args, config.repetitions))
     return 0

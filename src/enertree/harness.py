@@ -368,7 +368,8 @@ def run_experiment(
 def replay_trace(trace: InteractionTrace) -> SimOutcome:
     """Re-execute a recorded run: pairs come from the trace, formation and
     estimation rules are recomputed, energy moves are applied verbatim.
-    Raises ReplayMismatch if the end-state digest differs from the record."""
+    Raises ReplayMismatch unless the re-execution runs exactly the trace's
+    steps and ends at its recorded digest."""
     config = ExperimentConfig.from_dict(trace.config)
     rng = make_rng(trace.seed)
     pop = build_population(config, rng)
@@ -383,6 +384,10 @@ def replay_trace(trace: InteractionTrace) -> SimOutcome:
         # e.g. the re-execution did not stop where the record did, so the
         # scripted pair supply ran dry: the trace is not self-consistent
         raise ReplayMismatch(f"trace diverged during re-execution: {exc}") from exc
+    if outcome.total_steps != len(trace):
+        raise ReplayMismatch(
+            f"the re-execution ended at step {outcome.total_steps} of {len(trace)} recorded"
+        )
     digest = snapshot_digest(outcome.pop)
     if trace.final_digest is not None and digest != trace.final_digest:
         raise ReplayMismatch(

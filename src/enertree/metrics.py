@@ -154,7 +154,9 @@ class ConvergenceDetector:
     none ever happened). A move counts as detectable when its magnitude
     exceeds ``dd_tol``, so both detectors resolve energy at the same
     absolute scale. Either way the verdict falls at ``horizon`` at the
-    latest, unconverged with tau the horizon. ``due`` is the first step at
+    latest, unconverged with tau the horizon. ``verdict`` is None until
+    then, and the ``ConvergenceReport`` from then on; ``dd_at_tau`` is the
+    distance fed with the deciding step. ``due`` is the first step at
     which a verdict falls if nothing moves: the horizon, or for quiescence
     the end of the window after the last move if that comes first.
     """
@@ -168,51 +170,27 @@ class ConvergenceDetector:
         self.window = window
         self.dd_tol = dd_tol
         self.horizon = horizon
-        self.decided = False
-        self.tau = 0
-        self.converged = False
+        self.verdict: Optional[ConvergenceReport] = None
         self.last_move = 0
         self.due = horizon if kind == DD_ZERO else min(horizon, window)
-        self._tau_dd = math.nan
 
     def observe(self, step: int, dd: float, moved: float) -> bool:
-        """Feed one step; returns True once the verdict is in."""
-        if self.decided:
+        """Feed one step; returns True once the verdict is in. A step fed
+        after the verdict changes nothing."""
+        if self.verdict is not None:
             return True
         if self.kind == DD_ZERO:
             if dd <= self.dd_tol:
-                self.decided = True
-                self.converged = True
-                self.tau = step
-                self._tau_dd = dd
+                self.verdict = ConvergenceReport(step, dd, True)
                 return True
-        else:
-            if moved and abs(moved) > self.dd_tol:
-                self.last_move = step
-                self.due = min(self.horizon, step + self.window)
-            elif step - self.last_move >= self.window:
-                self.decided = True
-                self.converged = True
-                self.tau = self.last_move
-                # nothing moved since tau, so the current dd still applies
-                self._tau_dd = dd
-                return True
+        elif moved and abs(moved) > self.dd_tol:
+            self.last_move = step
+            self.due = min(self.horizon, step + self.window)
+        elif step - self.last_move >= self.window:
+            # nothing moved since tau, so the current dd still applies
+            self.verdict = ConvergenceReport(self.last_move, dd, True)
+            return True
         if step >= self.horizon:
-            self.decided = True
-            self.converged = False
-            self.tau = self.horizon
-            self._tau_dd = dd
+            self.verdict = ConvergenceReport(self.horizon, dd, False)
             return True
         return False
-
-    def force_converged(self, tau: int, dd: float) -> None:
-        """Record a convergence verdict decided outside the stream (used for
-        degenerate populations where no interaction is possible)."""
-        self.decided = True
-        self.converged = True
-        self.tau = tau
-        self._tau_dd = dd
-
-    def report(self) -> ConvergenceReport:
-        """The verdict; read it once ``decided``."""
-        return ConvergenceReport(tau=self.tau, dd_at_tau=self._tau_dd, converged=self.converged)

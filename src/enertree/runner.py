@@ -240,7 +240,7 @@ class _Tally:
 
     __slots__ = (
         "pop", "net", "energy", "driver", "detector", "basis_total", "t0", "cadence",
-        "record", "dd_zero", "edges", "ideal", "observing", "dd", "dirty", "runs", "last",
+        "record", "dd_zero", "edges", "ideal", "dd", "dirty", "runs", "last",
         "until", "margin", "floor", "copy", "summed", "log", "witness", "e",
     )
 
@@ -261,7 +261,6 @@ class _Tally:
         self.margin = detector.dd_tol + drift
         self.floor = detector.dd_tol + 2.0 * drift
         self.edges = self.ideal = self.witness = None
-        self.observing = not self.dd_zero
         if complete:
             self.completed()
         self.runs: list[MetricRun] = []
@@ -270,7 +269,7 @@ class _Tally:
         self.resync()
         self.stop(t0)
         if self.net.n == 1:  # a single node: nothing can ever move
-            detector.force_converged(0, self.exact())
+            detector.verdict = ConvergenceReport(0, self.exact(), True)
 
     def completed(self) -> None:
         """The tree is complete and stays so: dd sums over its edge list, the
@@ -280,7 +279,6 @@ class _Tally:
         self.ideal = compute_ideal_energies(self.net, self.basis_total)
         if isinstance(self.driver, LiveEnergyDriver):
             self.driver.table = self.ideal
-        self.observing = True
 
     def resync(self) -> None:
         # The running dd restarts from the full sum of this state, taken
@@ -354,7 +352,7 @@ class _Tally:
                 self.log.append((u, v, e[u], e[v]))
                 self.dirty = True
         read = s >= detector.due
-        if not self.observing:  # a dd-zero run on a partial tree: only the horizon decides
+        if self.dd_zero and self.edges is None:  # a partial tree: only the horizon decides
             if read:
                 detector.observe(s, math.inf, moved)
             read = False
@@ -494,7 +492,7 @@ def simulate(
     moved, beta = 0.0, None
     mask = active_pairs() if in_phase_a else None
     while True:
-        if tally is not None and tally.detector.decided:
+        if tally is not None and tally.detector.verdict:
             break
         if tally is None and (t >= end or stabilized):
             # Phase A is over, or never ran: the energy protocol joins now.
@@ -579,7 +577,7 @@ def simulate(
         skipped_steps=skipped,
     )
     if tally is not None:
-        outcome.report = tally.detector.report()
+        outcome.report = tally.detector.verdict
         outcome.metric_runs = tally.end(t)
         outcome.ideal = tally.ideal
     elif driver is not None:

@@ -135,6 +135,17 @@ def test_cli_experiment_rejects_a_metric_cadence_past_2_to_the_53(tmp_path, caps
                  energy_protocol=parse_energy_protocol("lambda:2"), metric_cadence=2**53 + 1)
 
 
+@pytest.mark.parametrize("edges, kwargs, message", [
+    (DEMO_EDGES, {"phase_mode": "bogus"}, "unknown phase mode 'bogus'"),
+    (DEMO_EDGES[:3], {}, "redistribution on an incomplete network needs a formation protocol"),
+])
+def test_simulate_rejects_bad_arguments(edges, kwargs, message):
+    pop = build_tree(6, edges, DEMO_ENERGIES)
+    with pytest.raises(DomainError, match=message):
+        simulate(pop, formation=None, scheduler=RandomScheduler(make_rng(0), pop.n),
+                 energy_protocol=parse_energy_protocol("lambda:2"), **kwargs)
+
+
 OVERFLOW = {"n": 4, "protocol": "kary:2", "total_energy": 1e300, "step_budget": 20000,
             "repetitions": 1}
 
@@ -600,6 +611,27 @@ def test_cli_replay_of_a_truncated_trace_exits_2(tmp_path, capsys, protocol, cut
     assert err.startswith("replay mismatch: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("energy_protocol, loss, appended", [
+    ("ideal", "normal:0.2,0.05", "IDEAL 5.0 -"),  # a move the run never reaches
+    ("lambda:2", "lossless", "NOOP - -"),  # an idle step after the last move
+])
+def test_cli_replay_of_a_trace_past_the_run_exits_2(tmp_path, capsys, energy_protocol, loss,
+                                                    appended):
+    # The run ends at its verdict; a record after it is a step the replay
+    # never runs, so the trace does not replay.
+    cfg = ExperimentConfig(n=10, protocol="kary:2", energy_protocol=energy_protocol, loss=loss,
+                           master_seed=4)
+    path = tmp_path / "trace.txt"
+    write_trace(run_single(cfg, 0, record_trace=True).outcome.trace, path)
+    assert cli_main(["replay", "--trace", str(path), "--quiet"]) == 0
+    lines = path.read_text().splitlines()
+    steps = sum(not line.startswith("#") for line in lines)
+    path.write_text("\n".join(lines + [f"{steps} 0 1 {appended}"]) + "\n")
+    assert cli_main(["replay", "--trace", str(path), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("replay mismatch: ") and err.count("\n") == 1
+
+
 def _record(lines, field, value, moved=False):
     """lines with one field of the first record (that moved energy) set."""
     i = next(i for i, line in enumerate(lines)
@@ -758,6 +790,7 @@ def test_cli_sweep_takes_a_json_array_of_values_with_commas(tmp_path):
     (["n=2", "n=3"], "grid field 'n' given twice"),
     (["n=2", " n =3"], "grid field 'n' given twice"),
     (["n=[]"], "grid field 'n' has no values"),
+    (["n=5,5"], "two grid combinations share the directory 'n=5'"),
     (["n=" + "[" * 100_000], "n must be an integer"),  # json.loads raises RecursionError
     ([], "sweep needs at least one --grid"),
 ])

@@ -233,6 +233,11 @@ def test_potential_two_node_line():
     assert line_potential(pop.network, pop.energy, 2.0) == pytest.approx(10.0)
 
 
+def test_potential_single_node():
+    pop = line_pop([5.0])
+    assert line_potential(pop.network, pop.energy, 2.0) == 0.0
+
+
 def test_potential_rejects_non_line():
     pop = star_pop()
     with pytest.raises(DomainError):
@@ -277,7 +282,7 @@ def _detect(protocol, stream, window, horizon):
     for step, (dd, moved) in enumerate(stream):
         if detector.observe(step, dd, moved):
             break
-    return detector.report()
+    return detector.verdict
 
 
 def test_convergence_dd_zero_stream():
@@ -305,7 +310,19 @@ def test_detector_tolerance():
     detector = ConvergenceDetector("dd_zero", window=1, dd_tol=1e-5, horizon=100)
     assert not detector.observe(0, 1.0, 0.0)
     assert detector.observe(1, 5e-6, 0.0)
-    assert detector.report().tau == 1
+    assert detector.verdict.tau == 1
+    verdict = detector.verdict
+    assert detector.observe(2, 1.0, 1.0)  # a step after the verdict changes nothing
+    assert detector.verdict is verdict and verdict == ConvergenceReport(1, 5e-6, True)
+
+
+@pytest.mark.parametrize("kind, window, message", [
+    ("bogus", 5, "unknown convergence kind 'bogus'"),
+    (QUIESCENCE, 0, "quiescence window must be >= 1"),
+])
+def test_detector_rejects_bad_settings(kind, window, message):
+    with pytest.raises(DomainError, match=message):
+        ConvergenceDetector(kind, window, 0.0, 100)
 
 
 def test_quiescence_with_no_moves_at_all():
@@ -334,7 +351,10 @@ def test_quiescence_due_follows_each_detectable_move():
     assert dues == [13, 13, 18]  # a move within dd_tol (0.25) is not detectable
     assert not detector.observe(17, 1.0, 0.0)
     assert detector.observe(18, 1.0, 0.0)  # nothing moved: the verdict falls at due
-    assert (detector.tau, detector.converged) == (8, True)
+    assert (detector.verdict.tau, detector.verdict.converged) == (8, True)
+    verdict = detector.verdict
+    assert detector.observe(19, 1.0, 2.0)  # a move after the verdict changes nothing
+    assert detector.verdict is verdict and (detector.due, detector.last_move) == (18, 8)
 
 
 @pytest.mark.contract
@@ -346,7 +366,7 @@ def test_quiescence_due_never_passes_the_horizon():
         dues.append(detector.due)
     assert dues == [25, 30, 30]
     assert detector.observe(30, 1.0, 0.0)
-    assert (detector.tau, detector.converged) == (30, False)
+    assert (detector.verdict.tau, detector.verdict.converged) == (30, False)
     assert ConvergenceDetector(QUIESCENCE, window=50, dd_tol=0.0, horizon=30).due == 30
 
 
@@ -371,7 +391,7 @@ def test_a_tree_that_never_completes_ends_at_a_detector_verdict(monkeypatch, spe
     for validate in (False, True):
         outcome = run_single(config, 0, validate=validate).outcome
         assert not outcome.completed and outcome.total_steps == 60
-        assert detectors.pop().decided and not detectors
+        assert detectors.pop().verdict and not detectors
         assert outcome.report == ConvergenceReport(tau=60, dd_at_tau=dd_at_tau, converged=False)
 
 
