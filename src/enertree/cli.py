@@ -16,6 +16,7 @@ import argparse
 import itertools
 import json
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -233,6 +234,18 @@ def _parse_grid(specs: list[str]) -> dict[str, list]:
     return grid
 
 
+def _name_max(path: Path) -> int:
+    """The longest file name, in bytes, that the file system of the nearest
+    existing ancestor of ``path`` takes; 255 where it does not say."""
+    path = path.absolute()
+    ancestor = next(p for p in (path, *path.parents) if p.exists())
+    try:
+        limit = os.pathconf(ancestor, "PC_NAME_MAX")
+    except (AttributeError, OSError, ValueError):  # no pathconf, or no such limit
+        return 255
+    return limit if limit > 0 else 255
+
+
 def _cmd_sweep(args) -> int:
     base = ExperimentConfig.from_json(args.config)
     grid = _parse_grid(args.grid)
@@ -240,6 +253,7 @@ def _cmd_sweep(args) -> int:
         raise ConfigError("sweep needs at least one --grid")
     keys = sorted(grid)
     out_root = Path(args.out)
+    name_max = _name_max(out_root)
     runs = {}  # every combination is validated before the first one runs
     for combo in itertools.product(*(grid[k] for k in keys)):
         overrides = dict(zip(keys, combo))
@@ -249,6 +263,11 @@ def _cmd_sweep(args) -> int:
         )
         if name in runs:
             raise ConfigError(f"two grid combinations share the directory {name!r}")
+        if len(os.fsencode(name)) > name_max:
+            raise ConfigError(
+                f"grid combination directory {name!r} is longer than the "
+                f"{name_max}-byte file name limit under {str(out_root)!r}"
+            )
         runs[name] = config
     for name, config in runs.items():
         _say(args, f"sweep {name}")

@@ -15,15 +15,20 @@ import math
 import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import count, islice
+from itertools import chain, count
 from pathlib import Path
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import IO, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .energy import BETA_CAP, PROTOCOL_TAGS
 from .errors import DomainError
 from .formation import CONNECTING_RULES, NOOP, UW
 
 TRACE_MAGIC = "# enertree-trace v1"
+
+# A trace is written TRACE_CHUNK record lines at a time and read
+# TRACE_BLOCK characters at a time, so neither holds the whole text.
+TRACE_CHUNK = 1024
+TRACE_BLOCK = 1 << 16
 
 # What a trace record's rule field may hold: a formation rule, or the tag of
 # the energy protocol that moved energy.
@@ -267,46 +272,93 @@ class InteractionTrace:
         return len(self.pairs)
 
     def lines(self) -> list[str]:
-        header = [
+        return [line for chunk in self.chunks() for line in chunk]
+
+    def chunks(self) -> Iterator[list[str]]:
+        """The trace's lines a list at a time: the header, then the records
+        ``TRACE_CHUNK`` at a time. An idle record is one f-string; the steps
+        in ``moves`` are found by bisection and go through
+        ``TraceRecord.line``."""
+        yield [
             TRACE_MAGIC,
             f"# seed={self.seed}",
             "# config=" + json.dumps(self.config, sort_keys=True),
             f"# digest={self.final_digest or '-'}",
         ]
-        pairs, rules = self.pairs, self.rules
-        body = [f"{step} {u} {v} {rule} - -" for step, (u, v), rule in zip(count(), pairs, rules)]
-        for step, (moved, beta) in self.moves.items():
-            body[step] = TraceRecord(step, *pairs[step], rules[step], moved, beta).line()
-        return header + body
+        pairs, rules, moves = self.pairs, self.rules, self.moves
+        moved = sorted(moves)
+        for start in range(0, len(pairs), TRACE_CHUNK):
+            stop = start + TRACE_CHUNK
+            body = [
+                f"{step} {u} {v} {rule} - -"
+                for step, (u, v), rule in zip(count(start), pairs[start:stop], rules[start:stop])
+            ]
+            for step in moved[bisect_left(moved, start) : bisect_left(moved, stop)]:
+                body[step - start] = TraceRecord(step, *pairs[step], rules[step], *moves[step]).line()
+            yield body
 
 
 def write_trace(trace: InteractionTrace, path: "str | Path") -> None:
-    Path(path).write_text("\n".join(trace.lines()) + "\n", encoding="ascii")
+    with Path(path).open("w", encoding="ascii") as file:
+        for chunk in trace.chunks():
+            file.write("\n".join(chunk) + "\n")
+
+
+def _blocks(file: IO[str]) -> Iterator[list[str]]:
+    """The lines of a text file, a list per block read: together exactly
+    ``file.read().splitlines()``. Each block is split up to its last
+    ``"\n"``; the rest is kept in pieces, joined once a later block ends a
+    line, so a long line is not copied again for each block."""
+    rest: list[str] = []
+    while block := file.read(TRACE_BLOCK):
+        cut = block.rfind("\n") + 1
+        if not cut:
+            rest.append(block)
+            continue
+        rest.append(block[:cut])
+        yield "".join(rest).splitlines()
+        rest = [block[cut:]]
+    yield "".join(rest).splitlines()
 
 
 def read_trace(source: "str | Path | Iterable[str]") -> InteractionTrace:
-    """Parse a trace as ``write_trace`` writes it. DomainError on anything
-    else: text that is not ASCII, a missing or repeated header line, a seed
-    that is not an integer, a config that is not a JSON object with an
-    integer ``n``, a malformed record (see ``TraceRecord.parse``), steps
-    that are not consecutive from 0, or a pair outside [0, n) or of one
-    node."""
-    if isinstance(source, (str, Path)):
-        try:
-            lines = Path(source).read_text(encoding="ascii").splitlines()
-        except (OSError, UnicodeDecodeError) as exc:
-            raise DomainError(f"cannot read trace {source}: {exc}") from exc
-    else:
-        lines = list(source)
-    if not lines or lines[0].strip() != TRACE_MAGIC:
+    """Parse a trace as ``write_trace`` writes it, from a path (read as
+    ASCII with universal newlines, a block at a time) or from its lines
+    (consumed as they are parsed). DomainError on anything else: text that
+    is not ASCII, a missing or repeated header line, a seed that is not an
+    integer, a config that is not a JSON object with an integer ``n``, a
+    malformed record (see ``TraceRecord.parse``), steps that are not
+    consecutive from 0, or a pair outside [0, n) or of one node. The first
+    fault in file order is the one reported."""
+    if not isinstance(source, (str, Path)):
+        return _parse_trace(iter(source))
+    try:
+        with Path(source).open(encoding="ascii") as file:
+            try:
+                return _parse_trace(chain.from_iterable(_blocks(file)))
+            except UnicodeDecodeError as exc:  # exc.start counts from the chunk decoded
+                if not file.seekable():
+                    raise
+                at = file.buffer.tell() - len(exc.object) + exc.start
+                raise DomainError(
+                    f"cannot read trace {source}: {exc.encoding!r} codec can't decode byte "
+                    f"0x{exc.object[exc.start]:02x} in position {at}: {exc.reason}"
+                ) from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DomainError(f"cannot read trace {source}: {exc}") from exc
+
+
+def _parse_trace(lines: Iterator[str]) -> InteractionTrace:
+    first = next(lines, None)
+    if first is None or first.strip() != TRACE_MAGIC:
         raise DomainError("not an enertree trace file")
     # The header: comment lines up to the first record.
     header: dict[str, str] = {}
-    body = len(lines)
-    for i in range(1, len(lines)):
-        line = lines[i].strip()
+    body: list[str] = []
+    for raw in lines:
+        line = raw.strip()
         if line and not line.startswith("#"):
-            body = i
+            body.append(raw)
             break
         if not line:
             continue
@@ -334,7 +386,7 @@ def read_trace(source: "str | Path | Iterable[str]") -> InteractionTrace:
     add_pair, add_rule = pairs.append, rules.append
     idle: dict[str, tuple] = {}
     step = 0
-    for line in islice(lines, body, None):
+    for line in chain(body, lines):
         head, _, tail = line.partition(" ")
         known = idle.get(tail)
         if known is not None and head == str(step):

@@ -790,6 +790,7 @@ def test_cli_sweep_takes_a_json_array_of_values_with_commas(tmp_path):
     (["n=" + "[" * 100_000], "n must be an integer"),  # json.loads raises RecursionError
     ([], "sweep needs at least one --grid"),
     (["n=5,5"], "two grid combinations share the directory 'n=5'"),
+    (["energy_protocol=lambda:2,lambda:2." + "0" * 300 + "1"], "-byte file name limit under"),
 ])
 def test_cli_sweep_rejects_a_bad_grid_with_one_error_line(tmp_path, capsys, grids, message):
     cfg = tmp_path / "cfg.json"
