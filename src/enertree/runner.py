@@ -81,7 +81,7 @@ from .metrics import (
     distribution_distance,
     incident_distance,
 )
-from .scheduler import InteractionTrace, ScriptedScheduler
+from .scheduler import InteractionTrace, ScriptedScheduler, pair_table
 
 TWOPHASE = "twophase"
 CONCURRENT = "concurrent"
@@ -469,6 +469,12 @@ def simulate(
     skipping = not validate and scheduler is not None
     jumps = not replaying and trace is None
     drawn = None if trace is None else trace.pairs
+    # A traced live run appends the tuples of one pair table to its pair
+    # column, if the table has no more entries than the budgets allow the
+    # trace steps.
+    table = None
+    if drawn is not None and not replaying and n * (n - 1) <= formation_budget + energy_budget:
+        table = pair_table(n)
     kary = formation is not None and formation.kind == KARY
     tally: Optional[_Tally] = None  # set once the energy protocol joins
 
@@ -519,7 +525,7 @@ def simulate(
             else:  # phase A's next stabilization probe
                 until = min(end, t - (t - formation_steps) % stab_cadence + stab_cadence)
             key = mask.key if mask.uh else None  # UH is tested by key, not in the rows
-            k, u, v = scheduler.skip(until - t, mask.rows, drawn, key)
+            k, u, v = scheduler.skip(until - t, mask.rows, drawn, key, table)
             skipped += k - 1
             t += k
             if drawn is not None and k > 1:
@@ -562,7 +568,7 @@ def simulate(
         elif mask is not None:
             mask.refresh(u, v, moved)
         if trace is not None:
-            trace.pairs.append((u, v))
+            trace.pairs.append(table[u][v - (v > u)] if table else (u, v))
             trace.rules.append(tag if tag != NOOP or not moved else energy_protocol.tag)
             if moved or beta is not None:
                 trace.moves[t - 1] = (moved or None, beta)

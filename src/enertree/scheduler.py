@@ -68,19 +68,32 @@ def sample_pair(rng: random.Random, n: int) -> tuple[int, int]:
     return u, v + (v >= u)
 
 
+def pair_table(n: int) -> list[list[tuple[int, int]]]:
+    """The n(n-1) oriented pairs in ``skip``'s layout: row u, column v
+    (before the shift past u) holds ``(u, v + (v >= u))``. A traced live run
+    appends these tuples to its pair column, so the column holds no tuple
+    of its own; the pairs share one int object per node."""
+    nodes = list(range(n))
+    return [[(u, w) for w in nodes[:u] + nodes[u + 1 :]] for u in nodes]
+
+
 class RandomScheduler:
     """Uniform pairwise scheduler; one call per discrete time step.
 
     ``skip`` draws pairs in a tight loop until one matters to the caller.
-    Each of its two loops is ``sample_pair`` inlined, kept separate for
+    Each of its three loops is ``sample_pair`` inlined, kept separate for
     speed and pinned against it by the tests: the same generator calls in
     the same order, so the pairs, and the generator state after each of
-    them, are the ones pair-by-pair sampling gives. The fast loop tests the
-    mask alone and serves every untraced skip without ``key``; the general
-    loop serves the rest. The fast loop stays because the general loop
-    alone cost ``edge_lambda_n30`` 0.896x its steps/s (``BENCH_uh_keys.json``,
+    them, are the ones pair-by-pair sampling gives. Each loop serves one
+    kind of caller. The fast loop tests the mask alone: every untraced skip
+    without ``key`` (every redistribution skip). The keyed loop tests the
+    key too: an untraced skip with ``key`` (phase A while heights differ).
+    The traced loop appends each pair it passes over to ``drawn``, from
+    ``table`` when given (see ``pair_table``), and tests the key when
+    given. The fast loop stays because a keyed loop alone cost
+    ``edge_lambda_n30`` 0.896x its steps/s (``BENCH_uh_keys.json``,
     ``keyed_only``): every redistribution skip tested a key on each draw.
-    The general loop, like the scripted one, tests a key only when given:
+    The traced loop, like the scripted one, tests a key only when given:
     reading a missing key as all-equal bytes was 0.98x ``trace_replay_n30``
     steps/s (``BENCH_skip_loops.json``).
     """
@@ -102,13 +115,16 @@ class RandomScheduler:
         mask: Sequence[bytes],
         drawn: Optional[list] = None,
         key: Optional[Sequence[int]] = None,
+        table: Optional[Sequence[Sequence[tuple[int, int]]]] = None,
     ) -> tuple[int, int, int]:
         """Draw pairs until one is in ``mask`` or until the ``limit``-th;
         returns how many were drawn and the last pair. ``mask[u][v - (v >
         u)]`` is nonzero for the oriented pairs (u, v) to stop at: row u,
         column v as drawn from [0, n - 1), before the shift past u. With
         ``key``, a pair (u, v) with ``key[u] != key[v]`` is a stop too.
-        With ``drawn``, every pair drawn before the last is appended to it."""
+        With ``drawn``, every pair drawn before the last is appended to it:
+        ``table``'s tuple for the pair (``pair_table(n)``) when given, else
+        a new one."""
         n = self.n
         m = n - 1
         ku = n.bit_length()
@@ -125,7 +141,19 @@ class RandomScheduler:
                 if mask[u][v]:
                     break
             return k, u, v + (v >= u)
-        append = ([] if drawn is None else drawn).append
+        if drawn is None:
+            for k in range(1, limit + 1):
+                u = bits(ku)
+                while u >= n:
+                    u = bits(ku)
+                v = bits(kv)
+                while v >= m:
+                    v = bits(kv)
+                w = v + (v >= u)
+                if mask[u][v] or key[u] != key[w]:
+                    break
+            return k, u, w
+        append = drawn.append
         for k in range(1, limit + 1):
             u = bits(ku)
             while u >= n:
@@ -136,7 +164,7 @@ class RandomScheduler:
             w = v + (v >= u)
             if mask[u][v] or k == limit or key is not None and key[u] != key[w]:
                 break
-            append((u, w))
+            append(table[u][v] if table else (u, w))
         return k, u, w
 
 
@@ -170,12 +198,14 @@ class ScriptedScheduler:
         mask: Sequence[bytes],
         drawn: Optional[list] = None,
         key: Optional[Sequence[int]] = None,
+        table: Optional[Sequence[Sequence[tuple[int, int]]]] = None,
     ) -> tuple[int, int, int]:
         """``RandomScheduler.skip`` over the trace: the next step whose pair
         is in ``mask`` (or, with ``key``, has ``key[u] != key[v]``) or that
         moved energy, or the ``limit``-th, whichever comes first.
         DomainError if the trace ends before either. One loop serves every
-        call, with and without ``key``."""
+        call, with and without ``key``; ``table`` is not read, since the
+        pairs handed to ``drawn`` are the trace's own tuples."""
         pairs = self.pairs
         start = self.pos
         stop = start + limit
@@ -218,7 +248,9 @@ class ScriptedScheduler:
 class TraceRecord(NamedTuple):
     """One scheduler step as a trace line: the oriented pair, the rule that
     fired, and the energy moved (signed: positive = u sent to v) with its
-    loss fraction. ``parse`` is the reference reader of one line."""
+    loss fraction. ``line`` is the reference format of one line, which
+    ``InteractionTrace.chunks`` writes inline, and ``parse`` the reference
+    reader of one line."""
 
     step: int
     u: int
@@ -276,9 +308,12 @@ class InteractionTrace:
 
     def chunks(self) -> Iterator[list[str]]:
         """The trace's lines a list at a time: the header, then the records
-        ``TRACE_CHUNK`` at a time. An idle record is one f-string; the steps
-        in ``moves`` are found by bisection and go through
-        ``TraceRecord.line``."""
+        ``TRACE_CHUNK`` at a time, each line one f-string, in the format of
+        ``TraceRecord.line``. With an integer ``n`` in the config, the pairs
+        are nodes in [0, n), as a live run and ``read_trace`` give them; if
+        the trace has at least n steps, an idle line takes the nodes' names
+        from a table of ``str(i)``, which then cannot outgrow the trace. The
+        steps in ``moves`` are found by bisection."""
         yield [
             TRACE_MAGIC,
             f"# seed={self.seed}",
@@ -287,14 +322,20 @@ class InteractionTrace:
         ]
         pairs, rules, moves = self.pairs, self.rules, self.moves
         moved = sorted(moves)
+        n = self.config.get("n") if isinstance(self.config, dict) else None
+        names = list(map(str, range(n))) if type(n) is int and n <= len(pairs) else None
         for start in range(0, len(pairs), TRACE_CHUNK):
             stop = start + TRACE_CHUNK
-            body = [
-                f"{step} {u} {v} {rule} - -"
-                for step, (u, v), rule in zip(count(start), pairs[start:stop], rules[start:stop])
-            ]
+            records = zip(count(start), pairs[start:stop], rules[start:stop])
+            if names is None:
+                body = [f"{step} {u} {v} {rule} - -" for step, (u, v), rule in records]
+            else:
+                body = [f"{step} {names[u]} {names[v]} {rule} - -" for step, (u, v), rule in records]
             for step in moved[bisect_left(moved, start) : bisect_left(moved, stop)]:
-                body[step - start] = TraceRecord(step, *pairs[step], rules[step], *moves[step]).line()
+                (u, v), (amount, beta) = pairs[step], moves[step]
+                amount = "-" if amount is None else repr(amount)
+                beta = "-" if beta is None else repr(beta)
+                body[step - start] = f"{step} {u} {v} {rules[step]} {amount} {beta}"
             yield body
 
 

@@ -13,9 +13,11 @@ import pytest
 from enertree.errors import DomainError
 from enertree.harness import ExperimentConfig, replay_trace, run_single
 from enertree.scheduler import (
+    RULE_TAGS,
     TRACE_BLOCK,
     TRACE_CHUNK,
     InteractionTrace,
+    TraceRecord,
     read_trace,
     write_trace,
 )
@@ -70,6 +72,83 @@ def test_write_trace_of_a_trace_read_back_from_a_file(tmp_path):
     write_trace(trace, copy)
     assert copy.read_bytes() == path.read_bytes()
     assert replay_trace(trace).digest == live.final_digest
+
+
+AMOUNTS = [None, 1.0, -1.0, 5e-324, -5e-324, 1e300, -1e300, -0.0, 0.0, 0.1 + 0.2, -2.5, 17]
+BETAS = [None, 0.0, 0.999, 5e-324, 0.19999999999999998, 0.5]
+
+
+def _every_field(n, steps, seed=0, config=None):
+    """A trace over n nodes whose records hold every rule tag, nodes 0 and
+    n - 1 in both places, and every amount and loss fraction above: steps
+    with both, with an amount alone and with a loss fraction alone."""
+    rng = random.Random(seed)
+    pairs = [(0, n - 1), (n - 1, 0)]
+    while len(pairs) < steps:
+        u, v = rng.sample(range(n), 2)
+        pairs.append((u, v))
+    tags = sorted(RULE_TAGS)
+    rules = [tags[step % len(tags)] for step in range(steps)]
+    moves = {}
+    for step in rng.sample(range(steps), min(steps, 3 * len(AMOUNTS) * len(BETAS))):
+        moves[step] = (rng.choice(AMOUNTS), rng.choice(BETAS))
+        if moves[step] == (None, None):
+            moves[step] = (-0.0, None)
+    for step, move in zip((steps - 1, C - 1, C), [(None, 0.25), (5e-324, None), (-1e300, 0.999)]):
+        if step < steps:
+            moves[step] = move
+    if config is None:
+        config = {"n": n, "protocol": "arbitrary"}
+    return InteractionTrace(seed, config, pairs[:steps], rules, moves, "cd" * 32)
+
+
+WRITER_CASES = {  # name: (n, steps, config), config None for {"n": n, ...}
+    "n=2": (2, C + 5, None),
+    "n=11": (11, 2 * C + 1, None),
+    "n=300": (300, 3 * C, None),
+    "n=300, fewer steps than nodes": (300, 250, None),
+    "no n in the config": (11, C + 5, {}),
+    "a string n": (11, C + 5, {"n": "11"}),
+}
+
+
+@pytest.mark.contract
+@pytest.mark.parametrize("case", sorted(WRITER_CASES))
+def test_each_written_record_line_is_the_reference_line(tmp_path, case):
+    # The writer formats each record inline (node names from a table where
+    # the config gives n); every line must be ``TraceRecord.line``'s.
+    n, steps, config = WRITER_CASES[case]
+    trace = _every_field(n, steps, config=config)
+    moves = trace.moves
+    assert set(trace.rules) == RULE_TAGS
+    assert any(m is None and b is not None for m, b in moves.values())
+    assert any(m is not None and b is None for m, b in moves.values())
+    assert {repr(m) for m, _ in moves.values()} >= {"-0.0", "5e-324", "1e+300", "-1e+300"}
+    lines = trace.lines()
+    assert len(lines) == 4 + steps
+    for step, ((u, v), rule) in enumerate(zip(trace.pairs, trace.rules)):
+        expected = TraceRecord(step, u, v, rule, *moves.get(step, (None, None))).line()
+        assert lines[4 + step] == expected
+    path = tmp_path / "trace.txt"
+    write_trace(trace, path)
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode("ascii")
+
+
+def test_a_trace_with_fewer_steps_than_nodes_builds_no_name_table(tmp_path):
+    # n = 10^6 and 3 records: a table of every node's name would take about
+    # 58 MB.
+    trace = InteractionTrace(1, {"n": 10**6}, [(0, 999_999), (5, 3), (999_999, 0)],
+                             ["NOOP", "SS", "NOOP"], {1: (-0.0, 0.5)})
+    path = tmp_path / "trace.txt"
+    tracemalloc.start()
+    try:
+        write_trace(trace, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert path.read_text(encoding="ascii").splitlines()[4:] == [
+        "0 0 999999 NOOP - -", "1 5 3 SS -0.0 0.5", "2 999999 0 NOOP - -"]
 
 
 def _text(steps=12_000):
