@@ -33,6 +33,14 @@ CONDITION_SLACK = 1e-12
 # energies (distances, exchange ratios) stay finite floats.
 MAX_ENERGY = 1e300
 
+# The largest population a config or a snapshot may hold. Two costs grow as
+# n^2: once the tree forms, the active-pair mask holds n(n - 1) bytes of
+# rows (100 MB at n = 10^4, 10 GB at 10^5), and the default budget is
+# 500 * C(n, 2) steps per phase (2.5e10 at 10^4, hours of stepping at a few
+# million steps/s). At 10^4 the mask still fits in memory; beyond it,
+# neither a run's memory nor its default budget is practical.
+MAX_N = 10_000
+
 
 def strictly_greater(a: float, b: float, tol: float = CONDITION_SLACK) -> bool:
     """True if ``a > b`` by more than ``tol`` relative to their magnitude."""

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .core import (
+    MAX_N,
     EnergyState,
     Population,
     TreeNetwork,
@@ -87,97 +88,77 @@ class FormationProtocol:
         raise DomainError(f"cannot parse formation protocol {spec!r}")
 
 
-def _tag_for_parent(has_parent: bool, nchildren: int) -> str:
-    # Tag of the (X, S) rule given the non-isolated parent candidate's
-    # pre-state: leaf -> LS, internal -> IS, root -> RS.
-    if nchildren == 0:
-        return LS
-    return IS if has_parent else RS
-
-
 def apply_formation_rule(
     protocol: FormationProtocol, pop: Population, u: int, v: int
 ) -> str:
     """Apply at most one formation rule to the oriented pair (u, v).
 
     Returns the fired rule's tag, UW for a key refresh along an existing
-    edge (k-ary only), or NOOP. Connection rules in the k-ary family copy
-    the parent's merge key onto the child at attach time.
+    edge (k-ary only), or NOOP. Every rule that fires attaches a child c
+    under a parent p, and in the k-ary family c copies p's merge key.
     """
     net = pop.network
     parent = net.parent
     if not (0 <= u < net.n and 0 <= v < net.n) or u == v:
         raise DomainError(f"invalid pair ({u}, {v})")
     kary = protocol.kind == KARY
+    w = pop.w
 
     # Established edges are permanent; in the k-ary family they keep
     # diffusing the root's merge key downward.
-    if parent[v] == u:
-        if kary:
-            pop.w[v] = pop.w[u]
-            return UW
-        return NOOP
-    if parent[u] == v:
-        if kary:
-            pop.w[u] = pop.w[v]
-            return UW
-        return NOOP
+    if parent[v] == u or parent[u] == v:
+        if not kary:
+            return NOOP
+        p, c = (u, v) if parent[v] == u else (v, u)
+        w[c] = w[p]
+        return UW
 
     children = net.children
-    w = pop.w
     u_has_p = parent[u] != -1
     v_has_p = parent[v] != -1
-    u_nc = len(children[u])
-    v_nc = len(children[v])
-    u_iso = not u_has_p and u_nc == 0
-    v_iso = not v_has_p and v_nc == 0
-    k = protocol.k
+    u_iso = not u_has_p and not children[u]
+    v_iso = not v_has_p and not children[v]
 
-    if u_iso or v_iso:
-        if u_iso and v_iso:
-            net.add_edge(u, v)
-            if kary:
-                w[v] = w[u]
-            return SS
+    if u_iso and v_iso:
+        p, c, tag = u, v, SS
+    elif u_iso or v_iso:
         p, c = (v, u) if u_iso else (u, v)
-        p_nc = len(children[p])
-        if kary and p_nc >= k:
+        if kary and len(children[p]) >= protocol.k:
             return NOOP
-        tag = _tag_for_parent(parent[p] != -1, p_nc)
-        net.add_edge(p, c)
-        if kary:
-            w[c] = w[p]
-        return tag
-
-    u_root = not u_has_p  # and u_nc > 0, since u is not isolated
-    v_root = not v_has_p
-
-    if not kary:
-        if u_root and v_root:
-            net.add_edge(u, v)
-            return RR
+        # The (X, S) rule of the parent's pre-state: leaf, internal or root.
+        tag = (IS if parent[p] != -1 else RS) if children[p] else LS
+    elif not (u_has_p or v_has_p):
+        # Two roots: the first, or under the k-ary rules the one with the
+        # smaller key if it has room, captures the other.
+        if not kary or w[u] < w[v] and len(children[u]) < protocol.k:
+            p, c = u, v
+        elif w[v] < w[u] and len(children[v]) < protocol.k:
+            p, c = v, u
+        else:
+            return NOOP
+        tag = RR
+    elif not kary or u_has_p and v_has_p:  # one root, or none, and no capture
         return NOOP
+    else:  # a non-root p with a smaller key and room captures the root c
+        p, c = (u, v) if u_has_p else (v, u)
+        if not (w[p] < w[c] and len(children[p]) < protocol.k):
+            return NOOP
+        tag = IR if children[p] else LR
+    net.add_edge(p, c)
+    if kary:
+        w[c] = w[p]
+    return tag
 
-    if u_root and v_root:
-        if w[u] < w[v] and u_nc < k:
-            net.add_edge(u, v)
-            w[v] = w[u]
-            return RR
-        if w[v] < w[u] and v_nc < k:
-            net.add_edge(v, u)
-            w[u] = w[v]
-            return RR
-        return NOOP
-    if u_root or v_root:
-        r, o = (u, v) if u_root else (v, u)
-        o_nc = len(children[o])
-        if w[o] < w[r] and o_nc < k:
-            tag = LR if o_nc == 0 else IR
-            net.add_edge(o, r)
-            w[r] = w[o]
-            return tag
-        return NOOP
-    return NOOP
+
+def idle_tags(
+    protocol: Optional[FormationProtocol], parent: Sequence[int], pairs: Sequence[tuple[int, int]]
+) -> list[str]:
+    """The tag ``apply_formation_rule`` records at each of ``pairs`` when it
+    changes nothing there, on a completed tree in a reachable state: UW on a
+    tree edge under the k-ary rules, else NOOP."""
+    if protocol is None or protocol.kind != KARY:
+        return [NOOP] * len(pairs)
+    return [UW if parent[u] == v or parent[v] == u else NOOP for u, v in pairs]
 
 
 def is_formation_complete(network: TreeNetwork) -> bool:
@@ -213,8 +194,8 @@ def load_snapshot(
 ) -> Population:
     """Parse a snapshot. DomainError on a malformed line or number, an id
     out of range or repeated, a register outside [0, n), a parent that is
-    the node itself or closes a cycle, or a state token that the parent
-    column contradicts."""
+    the node itself or closes a cycle, a state token that the parent column
+    contradicts, or more than ``MAX_N`` nodes."""
     rows = []
     for line in lines:
         line = line.strip()
@@ -232,6 +213,8 @@ def load_snapshot(
     n = len(rows)
     if n == 0:
         raise DomainError("empty snapshot")
+    if n > MAX_N:
+        raise DomainError(f"snapshot holds {n} nodes; at most {MAX_N} are allowed")
     net = TreeNetwork(n, arity_bound)
     w = [0] * n
     d = [0] * n

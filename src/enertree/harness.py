@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
-from .core import MAX_ENERGY, EnergyState, Population, TreeNetwork
+from .core import MAX_ENERGY, MAX_N, EnergyState, Population, TreeNetwork
 from .energy import EnergyProtocol, LossModel, check_total, parse_energy_protocol
 from .errors import ConfigError, DomainError, ReplayMismatch
 from .formation import FormationProtocol, snapshot_digest
@@ -49,15 +49,6 @@ RANDOM = "random"
 # the config.
 BASIS_POST_FORMATION = "post_formation"
 BASIS_INITIAL = "initial"
-
-# The largest population a config may ask for. Two costs grow as n^2: once
-# the tree forms, the active-pair mask holds n(n - 1) bytes of rows (100 MB
-# at n = 10^4, 10 GB at 10^5), and the default budget is 500 * C(n, 2)
-# steps per phase (2.5e10 at 10^4, hours of stepping at a few million
-# steps/s). At 10^4 the mask still fits in memory; beyond it, neither a
-# run's memory nor its default budget is practical.
-MAX_N = 10_000
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:

@@ -22,7 +22,10 @@ move, if any. Once nothing can change before the limit, a live run without
 a trace jumps there without drawing (nothing reads the generator after
 ``simulate``). Every step passed over leaves the state and generator
 position that the step path leaves, so every output is unchanged; a trace
-records it as the step path would (``_idle_rules``).
+records it as the step path would (``formation.idle_tags``). A traced live
+run skips only with a pair table, which it builds where its budgets hold at
+least as many steps as the table has entries; a shorter run steps
+throughout.
 
 A ``_Tally`` keeps the books of the redistribution phase at each stop: the
 distribution distance, the metric samples and the convergence detector,
@@ -49,7 +52,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import Optional
 
 from .active import ActivePairs, reachable
@@ -68,9 +70,9 @@ from .formation import (
     CONNECTING_RULES,
     KARY,
     NOOP,
-    UW,
     FormationProtocol,
     apply_formation_rule,
+    idle_tags,
     is_formation_complete,
     snapshot_digest,
 )
@@ -160,16 +162,8 @@ class SimOutcome:
         return snapshot_digest(self.pop)
 
 
-def _idle_rules(pairs: list[tuple[int, int]], start: int, parent: list[int], kary: bool):
-    """The rule the step path records at each idle pair from ``start`` on:
-    ``UW`` on a tree edge under the k-ary rules, else ``NOOP``."""
-    if not kary:
-        return repeat(NOOP, len(pairs) - start)
-    return [UW if parent[u] == v or parent[v] == u else NOOP for u, v in pairs[start:]]
-
-
 # The largest metric cadence a run takes. ``dd_drift`` turns its ops, at
-# most cadence * (4n + 6) + 2n, into a float: for n <= harness.MAX_N = 10^4
+# most cadence * (4n + 6) + 2n, into a float: for n <= core.MAX_N = 10^4
 # and a total of at most MAX_ENERGY = 1e300, ops * total * 2^-50 is at most
 # (2^53 * 40006 + 20000) * 1e300 * 2^-50 < 3.3e305, a factor of 500 below
 # the largest float. A cadence past the budget samples as one at it does.
@@ -465,16 +459,17 @@ def simulate(
             # No generator at n=1 (no scheduler): the protocol draws nothing
             rng = getattr(scheduler, "rng", None)
             driver = LiveEnergyDriver(energy_protocol, loss, rng, basis_total)
-    # Live runs and replays skip (see the module docstring).
-    skipping = not validate and scheduler is not None
     jumps = not replaying and trace is None
     drawn = None if trace is None else trace.pairs
-    # A traced live run appends the tuples of one pair table to its pair
-    # column, if the table has no more entries than the budgets allow the
-    # trace steps.
+    # Live runs and replays skip; a traced live run only with a pair table,
+    # whose tuples its pair column then holds (see the module docstring).
+    skipping = not validate and scheduler is not None
     table = None
-    if drawn is not None and not replaying and n * (n - 1) <= formation_budget + energy_budget:
-        table = pair_table(n)
+    if drawn is not None and not replaying:
+        if n * (n - 1) <= formation_budget + energy_budget:
+            table = pair_table(n)
+        else:
+            skipping = False
     kary = formation is not None and formation.kind == KARY
     tally: Optional[_Tally] = None  # set once the energy protocol joins
 
@@ -529,7 +524,7 @@ def simulate(
             skipped += k - 1
             t += k
             if drawn is not None and k > 1:
-                trace.rules += _idle_rules(drawn, len(trace.rules), net.parent, kary)
+                trace.rules += idle_tags(formation, net.parent, drawn[len(trace.rules):])
         joined = False
         if mask is None or mask.structural:
             tag = apply_formation_rule(formation, pop, u, v) if formation else NOOP
@@ -538,7 +533,7 @@ def simulate(
         elif trace is not None:
             # No rule can change a register (see ActivePairs): only the move
             # runs, tagged as a skipped step is.
-            tag = UW if kary and (net.parent[u] == v or net.parent[v] == u) else NOOP
+            tag = idle_tags(formation, net.parent, ((u, v),))[0]
         probe = remask = False
         if joined:
             if not complete and net.edge_count == n - 1 and is_formation_complete(net):

@@ -88,11 +88,11 @@ class RandomScheduler:
     kind of caller. The fast loop tests the mask alone: every untraced skip
     without ``key`` (every redistribution skip). The keyed loop tests the
     key too: an untraced skip with ``key`` (phase A while heights differ).
-    The traced loop appends each pair it passes over to ``drawn``, from
-    ``table`` when given (see ``pair_table``), and tests the key when
-    given. The fast loop stays because a keyed loop alone cost
-    ``edge_lambda_n30`` 0.896x its steps/s (``BENCH_uh_keys.json``,
-    ``keyed_only``): every redistribution skip tested a key on each draw.
+    The traced loop appends each pair it passes over to ``drawn`` from
+    ``table`` (see ``pair_table``), and tests the key when given. The fast
+    loop stays because a keyed loop alone cost ``edge_lambda_n30`` 0.896x
+    its steps/s (``BENCH_uh_keys.json``, ``keyed_only``): every
+    redistribution skip tested a key on each draw.
     The traced loop, like the scripted one, tests a key only when given:
     reading a missing key as all-equal bytes was 0.98x ``trace_replay_n30``
     steps/s (``BENCH_skip_loops.json``).
@@ -122,9 +122,8 @@ class RandomScheduler:
         u)]`` is nonzero for the oriented pairs (u, v) to stop at: row u,
         column v as drawn from [0, n - 1), before the shift past u. With
         ``key``, a pair (u, v) with ``key[u] != key[v]`` is a stop too.
-        With ``drawn``, every pair drawn before the last is appended to it:
-        ``table``'s tuple for the pair (``pair_table(n)``) when given, else
-        a new one."""
+        With ``drawn``, every pair drawn before the last is appended to it
+        as ``table``'s tuple for the pair (``table`` is ``pair_table(n)``)."""
         n = self.n
         m = n - 1
         ku = n.bit_length()
@@ -164,7 +163,7 @@ class RandomScheduler:
             w = v + (v >= u)
             if mask[u][v] or k == limit or key is not None and key[u] != key[w]:
                 break
-            append(table[u][v] if table else (u, w))
+            append(table[u][v])
         return k, u, w
 
 
@@ -309,11 +308,12 @@ class InteractionTrace:
     def chunks(self) -> Iterator[list[str]]:
         """The trace's lines a list at a time: the header, then the records
         ``TRACE_CHUNK`` at a time, each line one f-string, in the format of
-        ``TraceRecord.line``. With an integer ``n`` in the config, the pairs
-        are nodes in [0, n), as a live run and ``read_trace`` give them; if
-        the trace has at least n steps, an idle line takes the nodes' names
-        from a table of ``str(i)``, which then cannot outgrow the trace. The
-        steps in ``moves`` are found by bisection."""
+        ``TraceRecord.line``, with the nodes' names from one map: a list of
+        ``str(i)`` for i in [0, n) if the config has an integer ``n`` and the
+        trace has at least n steps (its pairs are then nodes in [0, n), as a
+        live run and ``read_trace`` give them), else a dict of the nodes the
+        trace holds. Either map cannot outgrow the trace. The steps in
+        ``moves`` are found by bisection."""
         yield [
             TRACE_MAGIC,
             f"# seed={self.seed}",
@@ -323,14 +323,14 @@ class InteractionTrace:
         pairs, rules, moves = self.pairs, self.rules, self.moves
         moved = sorted(moves)
         n = self.config.get("n") if isinstance(self.config, dict) else None
-        names = list(map(str, range(n))) if type(n) is int and n <= len(pairs) else None
+        if type(n) is int and n <= len(pairs):
+            names = list(map(str, range(n)))
+        else:
+            names = {x: str(x) for x in set(chain.from_iterable(pairs))}
         for start in range(0, len(pairs), TRACE_CHUNK):
             stop = start + TRACE_CHUNK
             records = zip(count(start), pairs[start:stop], rules[start:stop])
-            if names is None:
-                body = [f"{step} {u} {v} {rule} - -" for step, (u, v), rule in records]
-            else:
-                body = [f"{step} {names[u]} {names[v]} {rule} - -" for step, (u, v), rule in records]
+            body = [f"{step} {names[u]} {names[v]} {rule} - -" for step, (u, v), rule in records]
             for step in moved[bisect_left(moved, start) : bisect_left(moved, stop)]:
                 (u, v), (amount, beta) = pairs[step], moves[step]
                 amount = "-" if amount is None else repr(amount)

@@ -15,6 +15,7 @@ from enertree.formation import (
     CONNECTING_RULES,
     FormationProtocol,
     apply_formation_rule,
+    idle_tags,
     is_formation_complete,
     load_snapshot,
     snapshot_digest,
@@ -252,7 +253,10 @@ def _state_kind(pop, i):
 
 def test_fired_rules_match_classify_oracle():
     # the tag returned by the dispatcher must agree with the pair's derived
-    # states before the firing, and the post-states must follow the rule
+    # states before the firing, and the post-states must follow the rule;
+    # under the k-ary rules a connect or UW sets the child's key to its
+    # parent's and changes no other key, and a root capture (RR, IR, LR)
+    # needs the smaller key and room; under the arbitrary rules no key moves
     from enertree.core import NodeKind, NodeState
 
     for proto, seed in [
@@ -269,9 +273,19 @@ def test_fired_rules_match_classify_oracle():
             before_u = classify(pop.network, u)
             before_v = classify(pop.network, v)
             edges_before = pop.network.edge_count
+            w_before = list(pop.w)
             tag = apply_formation_rule(proto, pop, u, v)
             after_u = classify(pop.network, u)
             after_v = classify(pop.network, v)
+            p, c = (u, v) if pop.network.parent[v] == u else (v, u)
+            expected_w = list(w_before)
+            if proto.k is not None and (tag in CONNECTING_RULES or tag == UW):
+                expected_w[c] = w_before[p]
+            assert pop.w == expected_w
+            if proto.k is not None and tag in (RR, IR, LR):
+                assert pop.network.parent[c] == p
+                assert w_before[p] < w_before[c]
+                assert (before_u if p == u else before_v).children < proto.k
             if tag == SS:
                 assert before_u.kind == before_v.kind == NodeKind.ISOLATED
                 assert after_u == NodeState(NodeKind.ROOT, 1)
@@ -302,3 +316,35 @@ def test_fired_rules_match_classify_oracle():
                 assert tag == NOOP
                 assert pop.network.edge_count == edges_before
                 assert after_u == before_u and after_v == before_v
+
+
+@pytest.mark.contract
+@pytest.mark.parametrize("n", [2, 3, 17, 30])
+@pytest.mark.parametrize("protocol", ["arbitrary", "kary:2", "kary:3"])
+def test_idle_tags_are_the_rules_own_tags(n, protocol):
+    # On a tree that phase A completed (a reachable state), every oriented
+    # pair where the rule, run on a copy, changes nothing: ``idle_tags``
+    # gives the tag the rule returned there.
+    from enertree.harness import ExperimentConfig, run_single
+
+    proto = FormationProtocol.parse(protocol)
+    for seed in range(2):
+        config = ExperimentConfig(n=n, protocol=protocol, energy_protocol=None,
+                                  master_seed=seed)
+        outcome = run_single(config, 0).outcome
+        assert outcome.completed and outcome.stabilized
+        pop = outcome.pop
+        lines = snapshot_lines(pop)
+        pairs, tags = [], []
+        for u in range(n):
+            for v in range(n):
+                if u == v:
+                    continue
+                trial = load_snapshot(lines, proto.k)
+                tag = apply_formation_rule(proto, trial, u, v)
+                if snapshot_lines(trial) == lines:
+                    pairs.append((u, v))
+                    tags.append(tag)
+        assert pairs
+        assert idle_tags(proto, pop.network.parent, pairs) == tags
+        assert (UW in tags) == (proto.k is not None)

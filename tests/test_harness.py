@@ -207,6 +207,10 @@ def _set(rows, i, column, value):
     (lambda rows: _set(rows, 0, 6, "1.7e308"), "<= 1e300"),
     (lambda rows: _set(rows, next(i for i, r in enumerate(rows) if r[1] == "L"), 1, "R1"),
      "has state R1 but its edges make it L"),
+    # a settled line of MAX_N + 1 nodes: its mask alone would take 100 MB
+    (lambda rows: [[str(i), "R1" if i == 0 else "I1" if i < MAX_N else "L", str(i - 1), str(i),
+                    "0", "0", "1000.0"] for i in range(MAX_N + 1)],
+     f"snapshot holds {MAX_N + 1} nodes; at most {MAX_N} are allowed"),
 ])
 def test_cli_redistribute_rejects_bad_snapshot(tmp_path, capsys, edit, message):
     snap = tmp_path / "snap.txt"

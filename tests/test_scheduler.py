@@ -15,6 +15,7 @@ from enertree.scheduler import (
     TraceRecord,
     derive_run_seed,
     make_rng,
+    pair_table,
     read_trace,
     sample_pair,
     write_trace,
@@ -105,6 +106,7 @@ def test_skip_reproduces_sample_pair(n):
     scheduler = RandomScheduler(fast, n)
     stops = {(u, v) for u, v in [(0, 1), (1, 0), (n - 1, n // 2), (n // 3, 0)] if u != v}
     mask = pair_mask(n, stops)
+    table = pair_table(n)
     limits = [1, 2, 5, 40, 300]
     drawn = 0
     recording = False
@@ -113,7 +115,7 @@ def test_skip_reproduces_sample_pair(n):
         limit = limits[drawn % len(limits)]
         recording = not recording
         handed = [] if recording else None
-        k, u, v = scheduler.skip(limit, mask, handed)
+        k, u, v = scheduler.skip(limit, mask, handed, None, table)
         passed = [sample_pair(slow, n) for _ in range(k - 1)]
         assert not stops.intersection(passed)
         assert handed is None or handed == passed
@@ -141,13 +143,14 @@ def test_keyed_skip_reproduces_sample_pair(n):
     scheduler = RandomScheduler(fast, n)
     stops = {(u, v) for u, v in [(0, 1), (n - 1, n // 2)] if u != v}
     mask = pair_mask(n, stops)
+    table = pair_table(n)
     limits = [1, 2, 5, 40, 300]
     drawn = skips = 0
     while drawn < 100_000:
         key = _keys(keys, n)
         limit = limits[skips % len(limits)]
         handed = [] if skips % 2 else None  # every other skip records
-        k, u, v = scheduler.skip(limit, mask, handed, key)
+        k, u, v = scheduler.skip(limit, mask, handed, key, table)
         passed = [sample_pair(slow, n) for _ in range(k - 1)]
         assert all((x, y) not in stops and key[x] == key[y] for x, y in passed)
         assert handed is None or handed == passed
@@ -187,11 +190,12 @@ def test_pairs_rest_on_getrandbits_alone():
     n = 30
     plain, bare = random.Random(4), _NoRandrange(4)
     mask = pair_mask(n, [(0, 1), (7, 3)])
+    table = pair_table(n)
     scheduler = RandomScheduler(bare, n)
     for recording in (False, True):
         for limit in (1, 5, 300):
             handed = [] if recording else None
-            k, u, v = scheduler.skip(limit, mask, handed)
+            k, u, v = scheduler.skip(limit, mask, handed, None, table)
             pairs = [sample_pair(plain, n) for _ in range(k)]
             assert (u, v) == pairs[-1]
             assert handed is None or handed == pairs[:-1]
